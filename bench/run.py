@@ -3,14 +3,14 @@
 
 One workload per process:
 
-    python3 bench/run.py --workload dense-batch --seed 1 --seconds 45 --trace 0
+    python3 bench/run.py --workload dense-batch --seed 1 --seconds 50 --trace 0
 
 prints the end-to-end metrics (``setup_s``, ``pass_s``, ``peak_rss_mib``) as
 the last line of standard output; with ``--trace 1`` it prints the per-layer
 metrics instead and writes every layer's entry to a BENCH JSON file.  Every
 workload in its own process, untraced and traced:
 
-    python3 bench/run.py --all [--seconds 45]
+    python3 bench/run.py --all [--seconds 50]
 
 and the quick tier of the same, in well under a minute:
 
@@ -143,6 +143,21 @@ def environment() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}", "cpu": cpu}
 
 
+def pass_time(times: list) -> float:
+    """A run's ``pass_s``: the 85th percentile of its pass times.
+
+    A shared host may run at its usual speed most of the time, with
+    bursts up to 1.8x faster and, less often, a few passes that are much
+    slower.  The median pass lands in whichever state held for more than
+    half of the run, so it jumps between runs; the 85th percentile stays at
+    the usual speed unless fast bursts fill most of the run, and it passes
+    over the slowest few passes (bench/README.md, Noise control).
+    """
+    if len(times) < 2:
+        return times[0]
+    return statistics.quantiles(times, n=20, method="inclusive")[16]
+
+
 def _usage():
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return ru.ru_minflt, ru.ru_utime, ru.ru_stime
@@ -241,7 +256,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     # ru_maxrss is in KiB on Linux
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     env = environment()
-    pass_s = statistics.median(untraced)
+    pass_s = pass_time(untraced)
     summary = {"workload": name, "seed": seed, "setup_s": setup_times,
                "reference_s": reference_s, "passes": len(untraced),
                "pass_s_each": untraced, "env": env}
@@ -260,15 +275,15 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
             "minor_faults": statistics.median(u[0] for u in usage),
             "cpu_s": statistics.median(u[1] for u in usage),
             "sys_s": statistics.median(u[2] for u in usage)}
-        layers["trace"] = {"pass_s": statistics.median(traced),
-                           "overhead_s": statistics.median(traced) - pass_s}
+        layers["trace"] = {"pass_s": pass_time(traced),
+                           "overhead_s": pass_time(traced) - pass_s}
         metrics, units = {}, {}
         for metric, (lname, field, unit) in PER_LAYER.items():
             metrics[metric] = layers.get(lname, {}).get(field, 0)
             units[metric] = unit
         if out_path is not None:
             write_bench(out_path, name, seed, env, layers, len(setup_rounds),
-                        len(pass_rounds), pass_s, setup_times)
+                        len(pass_rounds), untraced, setup_times)
     return {"correct": tally.failed == 0, "attempted": tally.attempted,
             "failed": tally.failed,
             "metrics": {m: {"value": v, "unit": units[m]}
@@ -276,13 +291,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
 
 
 def write_bench(path: Path, case: str, seed: int, env: dict, layers: dict,
-                setup_repeats: int, pass_repeats: int, pass_s: float,
+                setup_repeats: int, pass_repeats: int, untraced: list,
                 setup_times: list) -> None:
     """BENCH entries: {case, layer, median_s, repeats, matvecs,
     precon_applies, env} plus the layer's other fields.  A layer's figures
-    are per set-up plus per pass."""
-    entries = [{"case": case, "layer": "end_to_end.pass_s", "median_s": pass_s,
-                "repeats": pass_repeats, "matvecs": None, "precon_applies": None,
+    are per set-up plus per pass; the end-to-end ``pass_s`` entry also
+    carries the reported 85th percentile as ``p85_s``."""
+    entries = [{"case": case, "layer": "end_to_end.pass_s",
+                "median_s": statistics.median(untraced),
+                "p85_s": pass_time(untraced), "repeats": len(untraced),
+                "matvecs": None, "precon_applies": None,
                 "seed": seed, "env": env},
                {"case": case, "layer": "end_to_end.setup_s",
                 "median_s": statistics.median(setup_times),
