@@ -31,8 +31,8 @@ from .minres_cs import lift_cs, solve_cs
 from .minres_h import SolveOptions, lift, solve
 from .npc_monitor import attach, check_monotonicity, verify_identities
 from .oracle import pinv
-from .pminres import (KroneckerSubOperator, Preconditioner, plift, psolve_cs,
-                      psolve_h, sublift, subsolve)
+from .pminres import (DenseSubOperator, KroneckerSubOperator, Preconditioner,
+                      plift, psolve_cs, psolve_h, sublift, subsolve)
 from .precon_factory import (RankFamilySpec, make_npc_matrix, make_npc_suite,
                              make_rank_family, run_error_sweep)
 from .synthetic import rand_matrix, rng_for
@@ -266,7 +266,6 @@ def cmd_equiv(args) -> int:
         # economy factor and the square PSD root of the same M
         s_eco = m.factor
         root = (p * np.sqrt(sigma)) @ p.conj().T
-        from .pminres import DenseSubOperator
         s_root = DenseSubOperator(root)
         worst = 0.0
         divergent = None
@@ -330,11 +329,9 @@ def cmd_deblur(args) -> int:
     op = KroneckerOperator(z)
 
     channels = original.channels
-    blurred = np.stack([z @ original.channel(k) @ z.T
-                        for k in range(channels)], axis=-1).squeeze(-1) \
-        if channels == 1 else np.stack(
-            [z @ original.channel(k) @ z.T for k in range(channels)], axis=-1)
-    blurred_plane = ImagePlane(blurred)
+    # ImagePlane drops the channel axis of a one-channel stack
+    blurred_plane = ImagePlane(np.stack([z @ original.channel(k) @ z.T
+                                         for k in range(channels)], axis=-1))
     noisy_plane = add_noise(blurred_plane, args.sigma_noise, args.seed)
 
     r1 = r2 = args.rank_side
@@ -359,8 +356,7 @@ def cmd_deblur(args) -> int:
                 np.clip(x.real.reshape(n, n), 0.0, 1.0))
         timings["all"] = timings.get("all", 0.0) + time.perf_counter() - t0
 
-    planes = {name: ImagePlane(np.stack(chans, axis=-1).squeeze(-1)
-                               if channels == 1 else np.stack(chans, axis=-1))
+    planes = {name: ImagePlane(np.stack(chans, axis=-1))
               for name, chans in recon.items()}
 
     os.makedirs(args.outdir, exist_ok=True)

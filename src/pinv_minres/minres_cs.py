@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import COMPLEX_SYMMETRIC, LinearOperator, as_vector, norm
-from .minres_h import SolveOptions, SolveReport, _minres_body
+from .minres_h import SolveOptions, SolveReport, _minres
 
 
 def solve_cs(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
@@ -22,7 +22,7 @@ def solve_cs(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveRep
     if a.kind != COMPLEX_SYMMETRIC:
         raise ValueError(
             f"solve_cs expects a complex_symmetric operator, got {a.kind!r}")
-    return _minres_body(a, b, opts or SolveOptions(), complex_symmetric=True)
+    return _minres(a, b, opts or SolveOptions(), complex_symmetric=True)
 
 
 def lift_cs(x: np.ndarray, r: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:

@@ -7,6 +7,10 @@ triangular entry gamma hits zero).  In the latter case the final iterate is
 generally not the minimum-norm solution; ``lift`` removes its component
 along the final residual, which recovers the pseudo-inverse solution
 exactly at the final iteration.
+
+The one recurrence engine, ``_minres``, lives here: ``solve``, ``solve_skew``,
+``minres_cs.solve_cs`` and ``pminres.psolve_h``/``psolve_cs`` wrap it, and
+``ReorthBuffer`` (re-exported by ``pminres``) is its reorthogonalization.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (HERMITIAN, SKEW_HERMITIAN, CallableOperator,
-                   LinearOperator, as_vector, norm)
+from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
+                   CallableOperator, LinearOperator, as_vector, norm)
 
 TERM_BETA_ZERO = "beta_zero"
 TERM_GAMMA_ZERO = "gamma_zero"
@@ -123,7 +127,7 @@ def solve(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport
     K_t(A, b) at every iteration."""
     if a.kind != HERMITIAN:
         raise ValueError(f"solve expects a hermitian operator, got {a.kind!r}")
-    return _minres_body(a, b, opts or SolveOptions(), complex_symmetric=False)
+    return _minres(a, b, opts or SolveOptions())
 
 
 def solve_skew(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
@@ -135,68 +139,193 @@ def solve_skew(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveR
     if a.kind != SKEW_HERMITIAN:
         raise ValueError(f"solve_skew expects a skew-hermitian operator, got {a.kind!r}")
     ia = CallableOperator(a.dim, HERMITIAN, lambda v: 1j * a.apply(v))
-    report = _minres_body(ia, 1j * as_vector(b, a.dim), opts or SolveOptions(),
-                          complex_symmetric=False)
+    report = _minres(ia, 1j * as_vector(b, a.dim), opts or SolveOptions())
     report.kind = SKEW_HERMITIAN
     return report
 
 
-def _minres_body(a: LinearOperator, b, opts: SolveOptions,
-                 complex_symmetric: bool) -> SolveReport:
-    """Shared Algorithm-1 loop; the complex-symmetric flag switches in the
-    Saunders-process modifications (A conj(v) products, complex rotation
-    cosine, conjugated direction update and residual recurrence)."""
-    b = as_vector(b, a.dim)
-    d = a.dim
-    kind = "complex_symmetric" if complex_symmetric else HERMITIAN
-    norm_b = norm(b)
-    zeros = np.zeros(d, dtype=np.complex128)
-    trace = Trace() if opts.record_trace else None
-    if norm_b == 0.0:
-        return SolveReport(x=zeros.copy(), r=zeros.copy(), phi=0.0,
-                           norm_b=0.0, termination=TERM_BETA_ZERO,
-                           iterations=0, grade=0, kind=kind, trace=trace)
+class NotPositiveSemidefinite(RuntimeError):
+    """The preconditioner produced a negative <z, M z> beyond roundoff."""
 
+
+class ReorthBuffer:
+    """Accumulated reorthogonalization pairs (z_i/beta_i, w_i/beta_i).
+
+    Applying the buffer restores orthogonality of the implied reduced-space
+    Lanczos (or Saunders) vectors: z <- z - Y z and w <- w - Y^H w (Y^T in
+    the complex-symmetric variant), with Y = sum_i (z_i w_i^H) / beta_i^2.
+    Pairs pushed without w stand for M = I: then only z is projected, in
+    the Hermitian product also for the Saunders vectors, which are
+    orthonormal in it.  Pairs are stored as matrix rows (block products).
+    """
+
+    def __init__(self, complex_symmetric: bool = False):
+        self.complex_symmetric = complex_symmetric
+        self.size = 0
+        self._z = self._w = None   # rows [:size] hold the pushed pairs
+
+    def push(self, z_over_beta: np.ndarray, w_over_beta: np.ndarray | None = None):
+        self._z = _append_row(self._z, self.size, z_over_beta)
+        if w_over_beta is not None:
+            self._w = _append_row(self._w, self.size, w_over_beta)
+        self.size += 1
+
+    def apply(self, z: np.ndarray, w: np.ndarray | None = None):
+        if self.size == 0:
+            return z, w
+        zs = self._z[:self.size]
+        if w is None:
+            return z - np.conj(zs @ np.conj(z)) @ zs, None
+        ws = self._w[:self.size]
+        if self.complex_symmetric:
+            return z - (ws @ z) @ zs, w - (zs @ w) @ ws
+        return (z - np.conj(ws @ np.conj(z)) @ zs,
+                w - np.conj(zs @ np.conj(w)) @ ws)
+
+
+def _append_row(rows: np.ndarray | None, k: int, row: np.ndarray) -> np.ndarray:
+    """Store ``row`` as row k of ``rows``, doubling the capacity when full."""
+    if rows is None or k == rows.shape[0]:
+        grown = np.empty((max(2 * k, 8), row.shape[0]), dtype=np.complex128)
+        if k:
+            grown[:k] = rows
+        rows = grown
+    rows[k] = row
+    return rows
+
+
+def _beta_from(z: np.ndarray, w: np.ndarray, complex_symmetric: bool,
+               scale_floor: float = 0.0) -> float:
+    """beta^2 = <z, w> (Hermitian) or <conj(z), w> (complex-symmetric),
+    clamping tiny negative roundoff and rejecting indefinite preconditioners.
+
+    ``scale_floor`` (the problem scale beta_1^2 inside the loop) keeps the
+    sign and realness checks from firing on noise-level pairs: near
+    termination w suffers total cancellation and its direction carries no
+    information, so only violations at the problem scale are meaningful.
+    """
+    scale = max(norm(z) * norm(w), scale_floor) + 1e-300
+    raw = np.dot(z, w) if complex_symmetric else np.vdot(z, w)
+    if raw.real < -1e-12 * scale or abs(raw.imag) > 1e-8 * scale:
+        raise NotPositiveSemidefinite(
+            f"<z, M z> = {raw:.3e} is negative beyond roundoff scale")
+    return float(np.sqrt(max(raw.real, 0.0)))
+
+
+def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
+            complex_symmetric: bool = False) -> SolveReport:
+    """The Lanczos/Saunders-plus-Givens recurrence behind every solver.
+
+    x_t minimizes ||b - A x||_M over K_t(M A, M b) for an optional PSD
+    preconditioner ``m``.  The loop carries v_t = z_t / beta_t and
+    u_t = w_t / beta_t, with w_t = M z_t (M conj(z_t) in the Saunders
+    process).  With no ``m`` (M = I) u_t is v_t (conj(v_t) in the Saunders
+    process), beta_t = ||z_t|| and both residual proxies are the residual,
+    so no preconditioner apply, PSD check or extra vector is spent.  The
+    complex-symmetric flag switches in the Saunders modifications (bilinear
+    pairings, complex cosine, conjugated direction and residual updates).
+    """
+    b = as_vector(b, a.dim)
+    if m is not None and m.dim != a.dim:
+        raise ValueError("operator and preconditioner dimensions differ")
+    cs = complex_symmetric
+    kind = COMPLEX_SYMMETRIC if cs else HERMITIAN
+    norm_b = norm(b)
+    zeros = np.zeros(a.dim, dtype=np.complex128)
+    trace = Trace() if opts.record_trace else None
     eps_z = opts.eps_zero
-    max_iter = opts.resolved_max_iterations(d)
-    beta1 = norm_b
+
+    def partner(v, w, beta):
+        """u = w / beta, or the M = I partner of v when there is no w."""
+        if w is not None:
+            return w / beta
+        return np.conj(v) if cs else v
+
+    def report(x, rbrev, rhat, phi, termination, iterations, grade, beta1):
+        if m is None:
+            return SolveReport(x=x, r=rbrev, phi=float(phi), norm_b=norm_b,
+                               termination=termination, iterations=iterations,
+                               grade=grade, kind=kind, trace=trace)
+        return SolveReport(x=x, r=None, phi=float(phi), norm_b=norm_b,
+                           termination=termination, iterations=iterations,
+                           grade=grade, kind=kind, preconditioned=True,
+                           r_hat=rhat, r_breve=rbrev, trace=trace, beta1=beta1)
+
+    if m is None:
+        w = None
+        beta1 = norm_b
+        if norm_b == 0.0:
+            return report(zeros, zeros.copy(), None, 0.0, TERM_BETA_ZERO, 0, 0, None)
+    else:
+        w = m.apply(np.conj(b) if cs else b)
+        beta1 = _beta_from(b, w, cs)
+        if norm_b == 0.0 or beta1 <= eps_z * np.sqrt(norm(b) * norm(w) + 1e-300):
+            return report(zeros, zeros.copy(), zeros.copy(), 0.0,
+                          TERM_NULL_PRECONDITIONED_RHS, 0, None, 0.0)
+
+    max_iter = opts.resolved_max_iterations(a.dim)
     phi = beta1
-    v_prev = zeros.copy()
     v = b / beta1
+    u = partner(v, w, beta1)
+    rbrev = b.copy()          # r_breve_0 = b
+    # r_hat_0 = M b (Hermitian) or conj(M) b (complex-symmetric, where the
+    # proxy is conj(S) S^T r throughout, hence the conjugated start)
+    rhat = rbrev if m is None else (np.conj(w) if cs else w.copy())
     beta = beta1
     c: complex = -1.0
     s = 0.0
     delta: complex = 0.0      # delta_t entering the next rotation
     eps_next = 0.0
-    x = zeros.copy()
-    d1 = zeros.copy()         # d_{t-1}
-    d2 = zeros.copy()         # d_{t-2}
-    r = b.copy()
-    basis = [v.copy()] if opts.reorthogonalize else None
+    x = d1 = d2 = v_prev = zeros  # x_t, d_{t-1}, d_{t-2}, v_{t-1}: read-only
+    buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
+    if buffer is not None:
+        buffer.push(v, None if m is None else u)
+
+    def record(gamma2, c, s, tau, dvec):
+        if trace is None:
+            return
+        trace.iterates.append(x.copy())
+        if m is None:
+            trace.residuals.append(rbrev.copy())
+            trace.basis.append(v.copy())
+        else:
+            trace.rhats.append(rhat.copy())
+            trace.rbreves.append(rbrev.copy())
+            trace.zs.append(beta * v)
+            trace.ws.append(beta * u)
+        trace.phis.append(float(phi))
+        trace.alphas.append(complex(alpha))
+        trace.betas.append(float(beta_next))
+        trace.gammas_pre.append(complex(gamma_pre))
+        trace.gammas2.append(float(gamma2))
+        trace.cs.append(complex(c))
+        trace.ss.append(float(s))
+        trace.taus.append(complex(tau))
+        trace.deltas2.append(complex(delta2))
+        trace.directions.append(dvec.copy())
 
     termination = TERM_MAX_ITER
     g = None
     t = 0
     for t in range(1, max_iter + 1):
-        q = a.apply_conj(v) if complex_symmetric else a.apply(v)
-        alpha = np.vdot(v, q)
-        if not complex_symmetric:
-            alpha = alpha.real
+        q = a.apply(u)
+        alpha = np.dot(u, q) if cs else np.vdot(u, q).real
         q = q - alpha * v - beta * v_prev
-        if opts.reorthogonalize:
-            for u in basis:
-                q -= u * np.vdot(u, q)
-        beta_next = norm(q)
+        wq = None if m is None else m.apply(np.conj(q) if cs else q)
+        if buffer is not None:
+            q, wq = buffer.apply(q, wq)
+        beta_next = norm(q) if m is None else _beta_from(q, wq, cs, beta1 * beta1)
 
         # previous rotation applied to the new tridiagonal column
-        delta2 = (np.conj(c) if complex_symmetric else c) * delta + s * alpha
+        delta2 = (np.conj(c) if cs else c) * delta + s * alpha
         gamma_pre = s * delta - c * alpha
         eps_cur = eps_next
         eps_next = s * beta_next
         delta = -c * beta_next
         gamma2 = np.sqrt(abs(gamma_pre) ** 2 + beta_next**2)
 
-        # ||A r_{t-1}|| estimate; zero exactly when least squares is solved
+        # ||A r_{t-1}|| estimate (in the reduced space when preconditioned);
+        # zero exactly when least squares is solved
         arnorm_prev = phi * np.hypot(abs(gamma_pre), abs(delta))
         if t == 1:
             arnorm0 = arnorm_prev
@@ -208,17 +337,15 @@ def _minres_body(a: LinearOperator, b, opts: SolveOptions,
             # iterate freezes one step back and the grade is t.
             g = t
             termination = TERM_GAMMA_ZERO
-            if trace is not None:
-                _record(trace, x, r, phi, alpha, beta_next, gamma_pre, 0.0,
-                        0.0, 1.0, 0.0, delta2, v, d1)
+            record(0.0, 0.0, 1.0, 0.0, d1)
             break
 
         c = gamma_pre / gamma2
         s = beta_next / gamma2
-        tau = (np.conj(c) if complex_symmetric else c) * phi
+        cc = np.conj(c) if cs else c
+        tau = cc * phi
         phi = s * phi
-        head = np.conj(v) if complex_symmetric else v
-        dvec = (head - delta2 * d1 - eps_cur * d2) / gamma2
+        dvec = (u - delta2 * d1 - eps_cur * d2) / gamma2
         d2 = d1
         d1 = dvec
         x = x + tau * dvec
@@ -226,17 +353,17 @@ def _minres_body(a: LinearOperator, b, opts: SolveOptions,
         if beta_next <= eps_z * beta1:
             g = t
             termination = TERM_BETA_ZERO
-            r = zeros.copy()
-            if trace is not None:
-                _record(trace, x, r, phi, alpha, beta_next, gamma_pre, gamma2,
-                        c, s, tau, delta2, v, dvec)
+            rbrev = zeros.copy()
+            rhat = rbrev if m is None else zeros.copy()
+            record(gamma2, c, s, tau, dvec)
             break
 
         v_next = q / beta_next
-        r = (s * s) * r - (phi * (np.conj(c) if complex_symmetric else c)) * v_next
-        if trace is not None:
-            _record(trace, x, r, phi, alpha, beta_next, gamma_pre, gamma2,
-                    c, s, tau, delta2, v, dvec)
+        u_next = partner(v_next, wq, beta_next)
+        rbrev = (s * s) * rbrev - (phi * cc) * v_next
+        rhat = rbrev if m is None else (s * s) * rhat - (phi * cc) * (
+            np.conj(u_next) if cs else u_next)
+        record(gamma2, c, s, tau, dvec)
         if ls_converged:
             # the normal-equation residual has hit its target: the grade is
             # reached in floating point and further steps only compound
@@ -244,33 +371,12 @@ def _minres_body(a: LinearOperator, b, opts: SolveOptions,
             g = t
             termination = TERM_GAMMA_ZERO
             break
-        v_prev = v
-        v = v_next
-        beta = beta_next
-        if basis is not None:
-            basis.append(v.copy())
+        v_prev, v, u, beta = v, v_next, u_next, beta_next
+        if buffer is not None:
+            buffer.push(v, None if m is None else u)
 
         if opts.residual_target is not None and phi <= opts.residual_target * beta1:
             termination = TERM_RESIDUAL_TARGET
             break
 
-    return SolveReport(x=x, r=r, phi=float(phi), norm_b=norm_b,
-                       termination=termination, iterations=t, grade=g,
-                       kind=kind, trace=trace)
-
-
-def _record(trace, x, r, phi, alpha, beta_next, gamma_pre, gamma2, c, s, tau,
-            delta2, v, dvec):
-    trace.iterates.append(x.copy())
-    trace.residuals.append(r.copy())
-    trace.phis.append(float(phi))
-    trace.alphas.append(complex(alpha))
-    trace.betas.append(float(beta_next))
-    trace.gammas_pre.append(complex(gamma_pre))
-    trace.gammas2.append(float(gamma2))
-    trace.cs.append(complex(c))
-    trace.ss.append(float(s))
-    trace.taus.append(complex(tau))
-    trace.deltas2.append(complex(delta2))
-    trace.basis.append(v.copy())
-    trace.directions.append(dvec.copy())
+    return report(x, rbrev, rhat, phi, termination, t, g, beta1)

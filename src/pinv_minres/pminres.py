@@ -7,6 +7,9 @@ and ``r_breve`` agrees with b - A x_t on range(M); together they allow the
 lifting correction without extra operator products.  The reduced solve
 (``subsolve``) runs plain MINRES on S^H A S for any factor M = S S^H and is
 analytically equivalent, iterate by iterate.
+
+``psolve_h``/``psolve_cs`` wrap the recurrence engine of ``minres_h``;
+``ReorthBuffer`` and ``NotPositiveSemidefinite`` live there too.
 """
 
 from __future__ import annotations
@@ -15,15 +18,9 @@ import numpy as np
 
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, CallableOperator,
                    LinearOperator, as_vector, norm)
-from .minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO, TERM_MAX_ITER,
-                       TERM_NULL_PRECONDITIONED_RHS, TERM_RESIDUAL_TARGET,
-                       SolveOptions, SolveReport, Trace)
 from .minres_cs import lift_cs, solve_cs
-from .minres_h import lift, solve
-
-
-class NotPositiveSemidefinite(RuntimeError):
-    """The preconditioner produced a negative <z, M z> beyond roundoff."""
+from .minres_h import (NotPositiveSemidefinite, ReorthBuffer, SolveOptions,
+                       SolveReport, _minres, lift, solve)
 
 
 class Preconditioner:
@@ -183,49 +180,13 @@ class KroneckerSubOperator(SubOperator):
         return (self.c.T @ y @ self.c).reshape(-1)
 
 
-class ReorthBuffer:
-    """Accumulated rank-one reorthogonalization pairs (z_i/beta_i, w_i/beta_i).
-
-    Applying the buffer restores orthogonality of the implied reduced-space
-    Lanczos (or Saunders) vectors: z <- z - Y z and w <- w - Y^H w (Y^T in
-    the complex-symmetric variant), with Y = sum_i (z_i w_i^H) / beta_i^2.
-    """
-
-    def __init__(self, complex_symmetric: bool = False):
-        self.complex_symmetric = complex_symmetric
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def push(self, z_over_beta: np.ndarray, w_over_beta: np.ndarray):
-        self.pairs.append((z_over_beta.copy(), w_over_beta.copy()))
-
-    def apply(self, z: np.ndarray, w: np.ndarray):
-        if not self.pairs:
-            return z, w
-        yz = np.zeros_like(z)
-        yw = np.zeros_like(w)
-        if self.complex_symmetric:
-            for zi, wi in self.pairs:
-                yz += zi * np.dot(wi, z)
-                yw += wi * np.dot(zi, w)
-        else:
-            for zi, wi in self.pairs:
-                yz += zi * np.vdot(wi, z)
-                yw += wi * np.vdot(zi, w)
-        return z - yz, w - yw
-
-
-def reorthogonalize(z: np.ndarray, w: np.ndarray, buffer: ReorthBuffer):
-    """Project the new (z, w) pair against all previous pairs in the buffer."""
-    return buffer.apply(z, w)
-
-
 def psolve_h(a: LinearOperator, m: Preconditioner, b,
              opts: SolveOptions | None = None) -> SolveReport:
     """Preconditioned MINRES for Hermitian A and PSD M; x_t minimizes
     ||b - A x||_M over K_t(M A, M b)."""
     if a.kind != HERMITIAN:
         raise ValueError(f"psolve_h expects a hermitian operator, got {a.kind!r}")
-    return _pminres_body(a, m, b, opts or SolveOptions(), complex_symmetric=False)
+    return _minres(a, b, opts or SolveOptions(), m)
 
 
 def psolve_cs(a: LinearOperator, m: Preconditioner, b,
@@ -235,172 +196,7 @@ def psolve_cs(a: LinearOperator, m: Preconditioner, b,
     if a.kind != COMPLEX_SYMMETRIC:
         raise ValueError(
             f"psolve_cs expects a complex_symmetric operator, got {a.kind!r}")
-    return _pminres_body(a, m, b, opts or SolveOptions(), complex_symmetric=True)
-
-
-def _beta_from(z: np.ndarray, w: np.ndarray, complex_symmetric: bool,
-               scale_floor: float = 0.0) -> float:
-    """beta^2 = <z, w> (Hermitian) or <conj(z), w> (complex-symmetric),
-    clamping tiny negative roundoff and rejecting indefinite preconditioners.
-
-    ``scale_floor`` (the problem scale beta_1^2 inside the loop) keeps the
-    sign and realness checks from firing on noise-level pairs: near
-    termination w suffers total cancellation and its direction carries no
-    information, so only violations at the problem scale are meaningful.
-    """
-    scale = max(norm(z) * norm(w), scale_floor) + 1e-300
-    raw = np.vdot(np.conj(z), w) if complex_symmetric else np.vdot(z, w)
-    if raw.real < -1e-12 * scale or abs(raw.imag) > 1e-8 * scale:
-        raise NotPositiveSemidefinite(
-            f"<z, M z> = {raw:.3e} is negative beyond roundoff scale")
-    return float(np.sqrt(max(raw.real, 0.0)))
-
-
-def _pminres_body(a: LinearOperator, m: Preconditioner, b, opts: SolveOptions,
-                  complex_symmetric: bool) -> SolveReport:
-    b = as_vector(b, a.dim)
-    if m.dim != a.dim:
-        raise ValueError("operator and preconditioner dimensions differ")
-    d = a.dim
-    kind = COMPLEX_SYMMETRIC if complex_symmetric else HERMITIAN
-    norm_b = norm(b)
-    zeros = np.zeros(d, dtype=np.complex128)
-    trace = Trace() if opts.record_trace else None
-    eps_z = opts.eps_zero
-
-    z = b.copy()
-    w = m.apply(np.conj(z)) if complex_symmetric else m.apply(z)
-    beta1 = _beta_from(z, w, complex_symmetric)
-    if norm_b == 0.0 or beta1 <= eps_z * np.sqrt(norm(z) * norm(w) + 1e-300):
-        return SolveReport(x=zeros.copy(), r=None, phi=0.0, norm_b=norm_b,
-                           termination=TERM_NULL_PRECONDITIONED_RHS,
-                           iterations=0, grade=None, kind=kind,
-                           preconditioned=True, r_hat=zeros.copy(),
-                           r_breve=zeros.copy(), trace=trace, beta1=0.0)
-
-    max_iter = opts.resolved_max_iterations(d)
-    phi = beta1
-    # r_hat_0 = M b (Hermitian) or conj(M) b (complex-symmetric, where the
-    # proxy is conj(S) S^T r throughout, hence the conjugated start)
-    rhat = np.conj(w) if complex_symmetric else w.copy()
-    rbrev = z.copy()      # r_breve_0 = b
-    z_prev = zeros.copy()
-    beta = beta1
-    beta_prev = beta1     # beta_0 := beta_1; the z_0 term vanishes anyway
-    c: complex = -1.0
-    s = 0.0
-    delta: complex = 0.0
-    eps_next = 0.0
-    x = zeros.copy()
-    d1 = zeros.copy()
-    d2 = zeros.copy()
-    buffer = ReorthBuffer(complex_symmetric) if opts.reorthogonalize else None
-    if buffer is not None:
-        buffer.push(z / beta1, w / beta1)
-
-    termination = TERM_MAX_ITER
-    g = None
-    t = 0
-    for t in range(1, max_iter + 1):
-        qt = a.apply(w) / beta
-        alpha = np.vdot(np.conj(w) if complex_symmetric else w, qt) / beta
-        if not complex_symmetric:
-            alpha = alpha.real
-        z_next = qt - (alpha / beta) * z - (beta / beta_prev) * z_prev
-        w_next = m.apply(np.conj(z_next)) if complex_symmetric else m.apply(z_next)
-        if buffer is not None:
-            z_next, w_next = buffer.apply(z_next, w_next)
-        beta_next = _beta_from(z_next, w_next, complex_symmetric,
-                               scale_floor=beta1 * beta1)
-
-        delta2 = (np.conj(c) if complex_symmetric else c) * delta + s * alpha
-        gamma_pre = s * delta - c * alpha
-        eps_cur = eps_next
-        eps_next = s * beta_next
-        delta = -c * beta_next
-        gamma2 = np.sqrt(abs(gamma_pre) ** 2 + beta_next**2)
-
-        # reduced-space ||A~ r~_{t-1}|| estimate, see SolveOptions
-        arnorm_prev = phi * np.hypot(abs(gamma_pre), abs(delta))
-        if t == 1:
-            arnorm0 = arnorm_prev
-        ls_converged = (opts.normal_residual_target is not None and t > 1
-                        and arnorm_prev <= opts.normal_residual_target * arnorm0)
-
-        if gamma2 <= eps_z * (abs(alpha) + beta + beta_next):
-            g = t
-            termination = TERM_GAMMA_ZERO
-            if trace is not None:
-                _precord(trace, x, rhat, rbrev, z, w, phi, alpha, beta_next,
-                         gamma_pre, 0.0, 0.0, 1.0, 0.0, delta2, d1)
-            break
-
-        c = gamma_pre / gamma2
-        s = beta_next / gamma2
-        cc = np.conj(c) if complex_symmetric else c
-        tau = cc * phi
-        phi = s * phi
-        dvec = (w / beta - delta2 * d1 - eps_cur * d2) / gamma2
-        d2 = d1
-        d1 = dvec
-        x = x + tau * dvec
-
-        if beta_next <= eps_z * beta1:
-            g = t
-            termination = TERM_BETA_ZERO
-            rhat = zeros.copy()
-            rbrev = zeros.copy()
-            if trace is not None:
-                _precord(trace, x, rhat, rbrev, z, w, phi, alpha, beta_next,
-                         gamma_pre, gamma2, c, s, tau, delta2, dvec)
-            break
-
-        rbrev = (s * s) * rbrev - (phi * cc / beta_next) * z_next
-        rhat = (s * s) * rhat - (phi * cc / beta_next) * (
-            np.conj(w_next) if complex_symmetric else w_next)
-        if trace is not None:
-            _precord(trace, x, rhat, rbrev, z, w, phi, alpha, beta_next,
-                     gamma_pre, gamma2, c, s, tau, delta2, dvec)
-        if ls_converged:
-            # grade reached in floating point (see SolveOptions)
-            g = t
-            termination = TERM_GAMMA_ZERO
-            break
-        z_prev = z
-        z = z_next
-        w = w_next
-        beta_prev = beta
-        beta = beta_next
-        if buffer is not None:
-            buffer.push(z / beta, w / beta)
-
-        if opts.residual_target is not None and phi <= opts.residual_target * beta1:
-            termination = TERM_RESIDUAL_TARGET
-            break
-
-    return SolveReport(x=x, r=None, phi=float(phi), norm_b=norm_b,
-                       termination=termination, iterations=t, grade=g,
-                       kind=kind, preconditioned=True, r_hat=rhat,
-                       r_breve=rbrev, trace=trace, beta1=beta1)
-
-
-def _precord(trace, x, rhat, rbrev, z, w, phi, alpha, beta_next, gamma_pre,
-             gamma2, c, s, tau, delta2, dvec):
-    trace.iterates.append(x.copy())
-    trace.rhats.append(rhat.copy())
-    trace.rbreves.append(rbrev.copy())
-    trace.zs.append(z.copy())
-    trace.ws.append(w.copy())
-    trace.phis.append(float(phi))
-    trace.alphas.append(complex(alpha))
-    trace.betas.append(float(beta_next))
-    trace.gammas_pre.append(complex(gamma_pre))
-    trace.gammas2.append(float(gamma2))
-    trace.cs.append(complex(c))
-    trace.ss.append(float(s))
-    trace.taus.append(complex(tau))
-    trace.deltas2.append(complex(delta2))
-    trace.directions.append(dvec.copy())
+    return _minres(a, b, opts or SolveOptions(), m, complex_symmetric=True)
 
 
 def plift(report: SolveReport, kind: str | None = None,

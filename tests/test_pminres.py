@@ -11,7 +11,7 @@ from pinv_minres.oracle import hermitian_eig, lifted_problem_pinv, pinv, takagi
 from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
                                  NotPositiveSemidefinite, Preconditioner,
                                  ReorthBuffer, plift, psolve_cs, psolve_h,
-                                 reorthogonalize, sublift, subsolve)
+                                 sublift, subsolve)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rand_psd, rng_for)
 
@@ -57,10 +57,11 @@ class TestPreconditioner:
 
 
 class TestPsolveH:
-    def test_identity_preconditioner_matches_plain_minres(self):
+    @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
+    def test_identity_preconditioner_matches_plain_minres(self, reorth):
         a = rand_hermitian(16, 16, seed=301)
         b = np.ones(16, dtype=complex)
-        opts = SolveOptions(record_trace=True)
+        opts = SolveOptions(record_trace=True, reorthogonalize=reorth)
         plain = solve(DenseOperator(a, HERMITIAN), b, opts)
         prec = psolve_h(DenseOperator(a, HERMITIAN),
                         Preconditioner.identity(16), b, opts)
@@ -162,12 +163,17 @@ class TestPsolveH:
 
 
 class TestPsolveCs:
-    def test_identity_preconditioner_matches_solve_cs(self):
-        a = rand_hermitian(12, 9, seed=311).real  # real symmetric, rank 9
-        a = (a + a.T) / 2
+    @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_identity_preconditioner_matches_solve_cs(self, real, reorth):
+        if real:
+            a = rand_hermitian(12, 9, seed=311).real  # real symmetric, rank 9
+            a = (a + a.T) / 2
+        else:
+            a = rand_complex_symmetric(12, 9, seed=311)
         op = DenseOperator(a, COMPLEX_SYMMETRIC)
         b = np.ones(12, dtype=complex)
-        opts = SolveOptions(record_trace=True)
+        opts = SolveOptions(record_trace=True, reorthogonalize=reorth)
         plain = solve_cs(op, b, opts)
         prec = psolve_cs(op, Preconditioner.identity(12), b, opts)
         assert prec.iterations == plain.iterations
@@ -333,7 +339,7 @@ class TestReorthogonalization:
         buf = ReorthBuffer()
         z = rng.standard_normal(5) + 0j
         w = rng.standard_normal(5) + 0j
-        z2, w2 = reorthogonalize(z, w, buf)
+        z2, w2 = buf.apply(z, w)
         assert np.array_equal(z, z2) and np.array_equal(w, w2)
 
     def test_buffer_application_matches_dense_projector(self, rng):
