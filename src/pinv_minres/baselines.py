@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, as_vector, norm
+from .core import LinearOperator, as_vector, norm, working_vector
 
 
 @dataclass
@@ -31,18 +31,22 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
     the only early exits are exact bidiagonalization breakdown and the
     machine-precision floor of the normal-equation residual ||A^H r||
     (iterating past that floor re-amplifies roundoff on singular systems).
+    Runs in float64 when ``working_vector`` says so; x is complex128 either
+    way.
     """
-    b = as_vector(b, a.dim)
+    b = working_vector(a, b)
     t0 = time.perf_counter()
-    x = np.zeros(a.dim, dtype=np.complex128)
+    x = np.zeros(a.dim, dtype=b.dtype)
     beta = norm(b)
     if beta == 0.0:
-        return BaselineReport(x, 0.0, 0, None, time.perf_counter() - t0)
+        return BaselineReport(x.astype(np.complex128), 0.0, 0, None,
+                              time.perf_counter() - t0)
     u = b / beta
     v = a.apply_adjoint(u)
     alfa = norm(v)
     if alfa == 0.0:
-        return BaselineReport(x, beta, 0, None, time.perf_counter() - t0)
+        return BaselineReport(x.astype(np.complex128), beta, 0, None,
+                              time.perf_counter() - t0)
     v = v / alfa
     w = v.copy()
     phibar = beta
@@ -71,8 +75,8 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
         arnorm = alfa * abs(s * phi)
         if beta <= tiny or alfa <= tiny or arnorm <= arnorm_floor:
             break
-    return BaselineReport(x, float(phibar), iters, None,
-                          time.perf_counter() - t0)
+    return BaselineReport(x.astype(np.complex128, copy=False), float(phibar),
+                          iters, None, time.perf_counter() - t0)
 
 
 def tsvd_solve(a, b, rank: int | None = None,

@@ -348,7 +348,7 @@ def cmd_deblur(args) -> int:
     timings: dict[str, float] = {}
     for k in range(channels):
         bmat = noisy_plane.channel(k)
-        bvec = bmat.reshape(-1).astype(np.complex128)
+        bvec = bmat.reshape(-1)
         t0 = time.perf_counter()
         per = _solve_channel(op, z, bvec, bmat, args.iters, s1, s2, tsvd_pairs)
         for name, x in per.items():

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
-                   CallableOperator, LinearOperator, as_vector, norm)
+                   CallableOperator, LinearOperator, as_vector, norm,
+                   working_vector)
 
 TERM_BETA_ZERO = "beta_zero"
 TERM_GAMMA_ZERO = "gamma_zero"
@@ -186,7 +187,7 @@ class ReorthBuffer:
 def _append_row(rows: np.ndarray | None, k: int, row: np.ndarray) -> np.ndarray:
     """Store ``row`` as row k of ``rows``, doubling the capacity when full."""
     if rows is None or k == rows.shape[0]:
-        grown = np.empty((max(2 * k, 8), row.shape[0]), dtype=np.complex128)
+        grown = np.empty((max(2 * k, 8), row.shape[0]), dtype=row.dtype)
         if k:
             grown[:k] = rows
         rows = grown
@@ -224,14 +225,20 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     so no preconditioner apply, PSD check or extra vector is spent.  The
     complex-symmetric flag switches in the Saunders modifications (bilinear
     pairings, complex cosine, conjugated direction and residual updates).
+    A plain Hermitian solve runs in float64 when ``working_vector`` says so;
+    its scalars are real anyway, and its reported vectors and trace are
+    complex128 either way.
     """
-    b = as_vector(b, a.dim)
+    cs = complex_symmetric
+    if m is None and not cs:
+        b = working_vector(a, b)
+    else:
+        b = as_vector(b, a.dim)
     if m is not None and m.dim != a.dim:
         raise ValueError("operator and preconditioner dimensions differ")
-    cs = complex_symmetric
     kind = COMPLEX_SYMMETRIC if cs else HERMITIAN
     norm_b = norm(b)
-    zeros = np.zeros(a.dim, dtype=np.complex128)
+    zeros = np.zeros(a.dim, dtype=b.dtype)
     trace = Trace() if opts.record_trace else None
     eps_z = opts.eps_zero
 
@@ -243,6 +250,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
 
     def report(x, rbrev, rhat, phi, termination, iterations, grade, beta1):
         if m is None:
+            x = x.astype(np.complex128, copy=False)
+            rbrev = rbrev.astype(np.complex128, copy=False)
             return SolveReport(x=x, r=rbrev, phi=float(phi), norm_b=norm_b,
                                termination=termination, iterations=iterations,
                                grade=grade, kind=kind, trace=trace)
@@ -284,10 +293,10 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     def record(gamma2, c, s, tau, dvec):
         if trace is None:
             return
-        trace.iterates.append(x.copy())
+        trace.iterates.append(x.astype(np.complex128))
         if m is None:
-            trace.residuals.append(rbrev.copy())
-            trace.basis.append(v.copy())
+            trace.residuals.append(rbrev.astype(np.complex128))
+            trace.basis.append(v.astype(np.complex128))
         else:
             trace.rhats.append(rhat.copy())
             trace.rbreves.append(rbrev.copy())
@@ -302,7 +311,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         trace.ss.append(float(s))
         trace.taus.append(complex(tau))
         trace.deltas2.append(complex(delta2))
-        trace.directions.append(dvec.copy())
+        trace.directions.append(dvec.astype(np.complex128))
 
     termination = TERM_MAX_ITER
     g = None

@@ -132,6 +132,16 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     (i != t).  Curvature: <r_hat_{t-1}, A r_hat_{t-1}> = -phi_{t-1}^2 c_{t-1}
     gamma_t.  Energy: <r_hat_t, b> = phi_t^2.  Positivity (strictly pre-NPC):
     <tau_t d_t, r_{t-j}> > 0 and <x_t, b> - <x_t, A x_t> > 0.
+
+    Tolerances are ``rtol`` relative to the quantities compared, plus a
+    roundoff floor at the problem's scale.  Each proxy r_hat_t is built by
+    a recurrence that starts from r_hat_0 = M b and is computed in d-term
+    sums, so it carries an absolute error of order d eps ||r_hat_0||, with
+    eps the unit roundoff.  That error stays when r_hat_t itself has shrunk
+    to roundoff, as it does at the last step, where the relative term
+    vanishes with it.  Paired with a vector q, it moves an inner product by
+    up to d eps ||r_hat_0|| ||q||; each identity's floor is that bound
+    summed over the proxies the identity contains.
     """
     trace = report.trace
     if trace is None:
@@ -145,37 +155,47 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     arhat = [a.apply(rh) for rh in trace.rhats[:prefix]]
     residuals = [b - axi for axi in ax]          # true residuals r_t
     beta1 = report.beta1 or norm(b)
+    rhat0 = m.apply(b)
+    arhat0 = a.apply(rhat0)
+    floor = a.dim * np.finfo(np.float64).eps * norm(rhat0)
+    n_ax = [norm(v) for v in ax]
+    n_rhat = [norm(v) for v in trace.rhats[:prefix]]
+    n_arhat = [norm(v) for v in arhat]
+    nb = norm(b)
 
     for t in range(1, prefix + 1):
         idx = t - 1
         rhat = trace.rhats[idx]
-        nrhat = norm(rhat)
+        nrhat = n_rhat[idx]
         # <r_hat_t, A x_i> = 0 for i <= t
         for i in range(1, t + 1):
             val = abs(np.vdot(rhat, ax[i - 1]))
-            tol = rtol * (nrhat * norm(ax[i - 1])) + 1e-30
+            tol = (rtol * nrhat + floor) * n_ax[i - 1]
             if val > tol:
                 violations.append(IdentityViolation(t, f"rhat_A_x[i={i}]", val))
         # <r_hat_i, A r_hat_t> = 0 for i != t
         for i in range(1, t):
             val = abs(np.vdot(trace.rhats[i - 1], arhat[idx]))
-            tol = rtol * (norm(trace.rhats[i - 1]) * norm(arhat[idx])) + 1e-30
+            tol = (rtol * n_rhat[i - 1] * n_arhat[idx]
+                   + floor * (n_arhat[i - 1] + n_arhat[idx]))
             if val > tol:
                 violations.append(IdentityViolation(t, f"rhat_A_rhat[i={i}]", val))
         # curvature identity at step t (r_hat_0 = w_1 = M b)
-        rhat_prev = trace.rhats[idx - 1] if t >= 2 else m.apply(b)
+        rhat_prev = trace.rhats[idx - 1] if t >= 2 else rhat0
+        arhat_prev = arhat[idx - 1] if t >= 2 else arhat0
         phi_prev = trace.phis[idx - 1] if t >= 2 else beta1
         c_prev = trace.cs[idx - 1].real if t >= 2 else -1.0
-        lhs = np.vdot(rhat_prev, a.apply(rhat_prev)).real
+        lhs = np.vdot(rhat_prev, arhat_prev).real
         rhs = -(phi_prev**2) * c_prev * trace.gammas_pre[idx].real
-        tol = rtol * (abs(lhs) + abs(rhs) + phi_prev**2) + 1e-30
+        tol = (rtol * (abs(lhs) + abs(rhs) + phi_prev**2)
+               + 2 * floor * norm(arhat_prev))
         if abs(lhs - rhs) > tol:
             violations.append(IdentityViolation(t, "curvature_identity",
                                                 abs(lhs - rhs)))
         # <r_hat_t, b> = phi_t^2
         val = np.vdot(rhat, b)
         phi2 = trace.phis[idx] ** 2
-        tol = rtol * (phi2 + nrhat * norm(b)) + 1e-30
+        tol = rtol * (phi2 + nrhat * nb) + floor * nb
         if abs(val - phi2) > tol:
             violations.append(IdentityViolation(t, "rhat_b_phi2", abs(val - phi2)))
         # strict positivity holds for t strictly before the final iteration

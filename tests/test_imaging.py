@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pinv_minres.imaging import (ImageFormatError, ImagePlane, add_noise,
+from pinv_minres.imaging import (ImageFormatError, ImagePlane,
+                                 _filter_valid, _gaussian_window, add_noise,
                                  phantom, psnr, read_image, ssim,
                                  write_image)
 
@@ -162,3 +163,18 @@ class TestPattern:
         assert img.samples.min() >= 0.0 and img.samples.max() <= 1.0
         # has actual structure, not a constant
         assert img.samples.std() > 0.1
+
+
+class TestSsimFilter:
+    @pytest.mark.parametrize("window", ["gaussian", "asymmetric"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_convolve_reference(self, rng, n, window):
+        # reference: np.convolve 'valid' along every row, then every column
+        img = rng.uniform(0.0, 1.0, (n, n))
+        g = (_gaussian_window() if window == "gaussian"
+             else rng.uniform(0.0, 1.0, 11))
+        rows = np.apply_along_axis(np.convolve, 1, img, g, "valid")
+        ref = np.apply_along_axis(np.convolve, 0, rows, g, "valid")
+        got = _filter_valid(img, g)
+        assert got.shape == ref.shape == (n - 10, n - 10)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from pinv_minres.cli import EXIT_OK, main
 from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
 from pinv_minres.minres_h import SolveOptions
 from pinv_minres.minres_cs import solve_cs
@@ -167,3 +168,29 @@ class TestVerifyIdentities:
         broken.m_values[5] = broken.m_values[4] + 1.0
         assert any(v.name == "m_decreasing"
                    for v in check_monotonicity(broken))
+
+
+class TestIdentityRoundoffFloor:
+    def test_npc_cli_run_passes(self, tmp_path):
+        # M4's last r_hat is roundoff, so its identities come out near
+        # 1e-30: roundoff at the problem's scale, not a violation
+        argv = ["npc", "--d", "128", "--rank", "64", "--r-plus", "48",
+                "--seed", "2", "--assert", "--csv", str(tmp_path / "n.csv")]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("t", [2, 5, 8])
+    def test_one_millionth_violation_is_flagged(self, t):
+        a, u_plus, u_minus = make_npc_matrix(seed=12)
+        m = make_npc_suite(a, u_plus, u_minus, seed=13)["M4"]
+        b = np.ones(20, dtype=complex)
+        op, rep, cert, monot = run_monitored(a, m, b)
+        assert verify_identities(monot, rep, op, m, b) == []
+        broken = copy.deepcopy(rep)
+        # move r_hat_t by one millionth of its length, along b
+        rhat = broken.trace.rhats[t - 1]
+        broken.trace.rhats[t - 1] = rhat + 1e-6 * (np.linalg.norm(rhat)
+                                                   / np.linalg.norm(b)) * b
+        names = {v.name.split("[")[0]
+                 for v in verify_identities(monot, broken, op, m, b)
+                 if v.iteration == t}
+        assert {"rhat_A_x", "rhat_b_phi2"} <= names

@@ -13,7 +13,7 @@ from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
                                  ReorthBuffer, plift, psolve_cs, psolve_h,
                                  sublift, subsolve)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
-                                   rand_psd, rng_for)
+                                   rand_matrix, rand_psd, rng_for)
 
 
 def random_economy_preconditioner(d, rank, seed, real=False):
@@ -378,3 +378,70 @@ class TestReorthogonalization:
         off_without = self._implied_basis_gram(False)
         assert off_with <= 1e-10
         assert off_without > off_with
+
+
+def _range_matched_or_generic(k, kind, generic):
+    """A dense-batch-style system: rank d/2..d-1 of d = 20..60, with M
+    range-matched (range(M) = range(A)) or generic (random basis of rank
+    between r + (d - r)/2 and d)."""
+    rng = np.random.default_rng([7, k])
+    d = int(rng.integers(20, 61))
+    r = int(rng.integers(d // 2, d))
+    a = rand_matrix(kind, d, r, int(rng.integers(2**31)))
+    b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    if generic:
+        rank = int(rng.integers(r + (d - r) // 2, d + 1))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        p = q[:, :rank]
+    else:
+        p = hermitian_eig(a).u if kind == HERMITIAN else np.conj(takagi(a).u)
+    m = Preconditioner.from_economy(p, rng.uniform(0.5, 2.0, p.shape[1]))
+    return a, b, m
+
+
+def _reduced_target_and_bound(a, b, m, kind):
+    """S [S^H A S]^+ S^H b (S^T for the complex-symmetric kind), and the
+    error bound of the solver's stopping rule, ||A r_t|| <= 1e-8 ||A b||
+    in the reduced space: relative error at most 1e-8 kappa^2 ||b|| /
+    ||P b|| (kappa and the range projector P of the reduced operator),
+    times kappa(S) back in the full space, with a safety factor of 100."""
+    s = m.factor.s
+    sh = s.T if kind == COMPLEX_SYMMETRIC else s.conj().T
+    ared, bred = sh @ a @ s, sh @ b
+    u, sv, _ = np.linalg.svd(ared)
+    keep = sv > 1e-10 * sv[0]
+    kappa = sv[keep][0] / sv[keep][-1]
+    ssv = np.linalg.svd(s, compute_uv=False)
+    bound = (100 * 1e-8 * kappa**2 * (ssv[0] / ssv[-1]) * np.linalg.norm(bred)
+             / np.linalg.norm(u[:, keep].conj().T @ bred))
+    return s @ (np.linalg.pinv(ared, rcond=1e-10) @ bred), bound
+
+
+class TestPliftScale:
+    @pytest.mark.parametrize("kind", [HERMITIAN, COMPLEX_SYMMETRIC])
+    def test_range_matched_without_reorthogonalization(self, kind):
+        # r_hat ends at roundoff of the stopping tolerance, not at zero:
+        # plift must return the iterate, which is A^+ b, and never raise
+        psolve = psolve_h if kind == HERMITIAN else psolve_cs
+        for k in range(40):
+            a, b, m = _range_matched_or_generic(k, kind, generic=False)
+            rep = psolve(DenseOperator(a, kind), m, b)
+            xd = pinv(a) @ b
+            _, bound = _reduced_target_and_bound(a, b, m, kind)
+            assert rel_err(plift(rep), xd) <= bound, k
+
+    @pytest.mark.parametrize("kind", [HERMITIAN, COMPLEX_SYMMETRIC])
+    def test_generic_preconditioner_still_lifts(self, kind):
+        psolve = psolve_h if kind == HERMITIAN else psolve_cs
+        lifted = 0
+        for k in range(40):
+            a, b, m = _range_matched_or_generic(k, kind, generic=True)
+            rep = psolve(DenseOperator(a, kind), m, b,
+                         SolveOptions(reorthogonalize=True))
+            target, bound = _reduced_target_and_bound(a, b, m, kind)
+            assert rel_err(plift(rep), target) <= bound, k
+            lifted += rel_err(rep.x, target) > bound
+        # the reduced problem is inconsistent almost always, and the
+        # unlifted iterate misses its pseudo-inverse solution
+        assert lifted >= 30
