@@ -47,7 +47,7 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
     if alfa == 0.0:
         return BaselineReport(x.astype(np.complex128), beta, 0, None,
                               time.perf_counter() - t0)
-    v = v / alfa
+    v /= alfa
     w = v.copy()
     phibar = beta
     rhobar = alfa
@@ -55,14 +55,18 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
     arnorm_floor = 1e-12 * alfa * beta
     iters = 0
     for iters in range(1, max_iter + 1):
-        u = a.apply(v) - alfa * u
+        # u, v, x and w are updated in place; with alfa <= tiny, v keeps
+        # the unnormalised A^H u - beta v, read only by the discarded w
+        u *= alfa
+        np.subtract(a.apply(v), u, out=u)
         beta = norm(u)
         if beta > tiny:
-            u = u / beta
-            v_new = a.apply_adjoint(u) - beta * v
-            alfa = norm(v_new)
+            u /= beta
+            v *= beta
+            np.subtract(a.apply_adjoint(u), v, out=v)
+            alfa = norm(v)
             if alfa > tiny:
-                v = v_new / alfa
+                v /= alfa
         rho = np.sqrt(rhobar**2 + beta**2)
         c = rhobar / rho
         s = beta / rho
@@ -70,8 +74,9 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
         rhobar = -c * alfa
         phi = c * phibar
         phibar = s * phibar
-        x = x + (phi / rho) * w
-        w = v - (theta / rho) * w
+        x += (phi / rho) * w
+        w *= theta / rho
+        np.subtract(v, w, out=w)
         arnorm = alfa * abs(s * phi)
         if beta <= tiny or alfa <= tiny or arnorm <= arnorm_floor:
             break

@@ -87,6 +87,8 @@ class LinearOperator:
     computes ``A^H @ v``; both default to expressions in ``_apply`` that are
     exact for the declared kind.  A subclass whose matrix is real sets
     ``real = True``; its products then keep a float64 input in float64.
+    ``apply`` never returns memory of its input, so callers may update the
+    product in place.
     """
 
     real = False
@@ -103,6 +105,8 @@ class LinearOperator:
     def apply(self, v) -> np.ndarray:
         v = as_vector(v, self.dim, self.real)
         out = np.asarray(self._apply(v), dtype=v.dtype)
+        if np.may_share_memory(out, v):
+            out = out.copy()
         if out.shape != (self.dim,):
             raise DimensionMismatch(
                 f"operator returned shape {out.shape}, expected ({self.dim},)")

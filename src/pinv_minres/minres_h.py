@@ -285,7 +285,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     s = 0.0
     delta: complex = 0.0      # delta_t entering the next rotation
     eps_next = 0.0
-    x = d1 = d2 = v_prev = zeros  # x_t, d_{t-1}, d_{t-2}, v_{t-1}: read-only
+    x = zeros.copy()          # x_t, updated in place
+    d1 = d2 = v_prev = zeros  # d_{t-1}, d_{t-2}, v_{t-1}: read-only
     buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
     if buffer is not None:
         buffer.push(v, None if m is None else u)
@@ -319,7 +320,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     for t in range(1, max_iter + 1):
         q = a.apply(u)
         alpha = np.dot(u, q) if cs else np.vdot(u, q).real
-        q = q - alpha * v - beta * v_prev
+        q -= alpha * v
+        q -= beta * v_prev
         wq = None if m is None else m.apply(np.conj(q) if cs else q)
         if buffer is not None:
             q, wq = buffer.apply(q, wq)
@@ -357,7 +359,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         dvec = (u - delta2 * d1 - eps_cur * d2) / gamma2
         d2 = d1
         d1 = dvec
-        x = x + tau * dvec
+        x += tau * dvec
 
         if beta_next <= eps_z * beta1:
             g = t
@@ -369,9 +371,11 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
 
         v_next = q / beta_next
         u_next = partner(v_next, wq, beta_next)
-        rbrev = (s * s) * rbrev - (phi * cc) * v_next
-        rhat = rbrev if m is None else (s * s) * rhat - (phi * cc) * (
-            np.conj(u_next) if cs else u_next)
+        rbrev *= s * s
+        rbrev -= (phi * cc) * v_next
+        if m is not None:     # with no m, rhat is rbrev
+            rhat *= s * s
+            rhat -= (phi * cc) * (np.conj(u_next) if cs else u_next)
         record(gamma2, c, s, tau, dvec)
         if ls_converged:
             # the normal-equation residual has hit its target: the grade is

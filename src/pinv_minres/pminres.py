@@ -6,7 +6,11 @@ proxies are maintained by cheap recurrences: ``r_hat`` equals M (b - A x_t)
 and ``r_breve`` agrees with b - A x_t on range(M); together they allow the
 lifting correction without extra operator products.  The reduced solve
 (``subsolve``) runs plain MINRES on S^H A S for any factor M = S S^H and is
-analytically equivalent, iterate by iterate.
+analytically equivalent, iterate by iterate.  ``SubOperator.reduce`` builds
+that operator: over a Kronecker A = Z (x) Z with a ``KroneckerSubOperator``
+S = C (x) C it is formed once as (C^T Z C) (x) (C^T Z C), so the reduced
+iterations make no full-size products; other factors compose S^H, A and S
+on every iteration.
 
 ``psolve_h``/``psolve_cs`` wrap the recurrence engine of ``minres_h``;
 ``ReorthBuffer`` and ``NotPositiveSemidefinite`` live there too.
@@ -17,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, CallableOperator,
-                   LinearOperator, as_vector, kron_apply, norm)
+                   KroneckerOperator, LinearOperator, as_vector, kron_apply,
+                   norm, working_vector)
 from .minres_cs import lift_cs, solve_cs
 from .minres_h import (NotPositiveSemidefinite, ReorthBuffer, SolveOptions,
                        SolveReport, _minres, lift, solve)
@@ -148,6 +153,19 @@ class SubOperator:
         return Preconditioner(self.d, lambda v: self.apply(self.apply_adjoint(v)),
                               factor=self)
 
+    def reduce(self, a: LinearOperator, kind: str) -> LinearOperator:
+        """The reduced operator S^H A S (S^T A S for the complex-symmetric
+        kind) on C^m, for an operator ``a`` on C^d.  Here it is the
+        composition of three products, made on every application."""
+        if kind == HERMITIAN:
+            return CallableOperator(
+                self.m, HERMITIAN,
+                lambda xt: self.apply_adjoint(a.apply(self.apply(xt))),
+                real=a.real and self.real)
+        return CallableOperator(
+            self.m, COMPLEX_SYMMETRIC,
+            lambda xt: self.apply_transpose(a.apply(self.apply(xt))))
+
 
 class DenseSubOperator(SubOperator):
     def __init__(self, s):
@@ -182,6 +200,17 @@ class KroneckerSubOperator(SubOperator):
 
     def apply_adjoint(self, v):
         return kron_apply(self.c.T, as_vector(v, self.d, real=True))
+
+    def reduce(self, a, kind):
+        """Over a ``KroneckerOperator`` A = Z (x) Z and the Hermitian kind,
+        S^H A S = (C^T Z C) (x) (C^T Z C) by the mixed-product rule: a
+        Kronecker operator with an rc x rc factor, formed once and
+        symmetrised against roundoff.  Other operators and the
+        complex-symmetric kind compose."""
+        if kind == HERMITIAN and isinstance(a, KroneckerOperator):
+            k = self.c.T @ a.z @ self.c
+            return KroneckerOperator((k + k.T) / 2)
+        return super().reduce(a, kind)
 
 
 def psolve_h(a: LinearOperator, m: Preconditioner, b,
@@ -242,36 +271,42 @@ def plift(report: SolveReport, kind: str | None = None,
 def subsolve(a: LinearOperator, s: SubOperator, b,
              opts: SolveOptions | None = None,
              kind: str | None = None) -> SolveReport:
-    """Reduced solve for M = S S^H: runs plain MINRES on the composed
+    """Reduced solve for M = S S^H: runs plain MINRES on the reduced
     operator S^H A S (S^T A S in the complex-symmetric path) and maps the
     iterate and residual back to the full space.
+
+    ``s.reduce`` builds the reduced operator: over a ``KroneckerOperator``
+    A = Z (x) Z with a ``KroneckerSubOperator`` S = C (x) C and the
+    Hermitian kind it is formed once as (C^T Z C) (x) (C^T Z C), so the
+    only full-space product of A is the final true residual; other factors
+    compose S^H A S on every iteration.  A real b on real A and S stays
+    in float64 throughout, as in ``solve``.
 
     The returned report carries x = S x~, r_hat = S r~ (conj(S) r~ for the
     complex-symmetric kind) and the true residual b - A x as both ``r`` and
     ``r_breve``, so ``plift`` applies to it unchanged; the reduced-space
-    report is attached as ``reduced``.
+    report is attached as ``reduced``.  Its vectors are complex128.
     """
     if a.dim != s.d:
         raise ValueError("operator and sub-preconditioner dimensions differ")
     kind = kind or a.kind
-    b = as_vector(b, a.dim)
     if kind == HERMITIAN:
-        at = CallableOperator(
-            s.m, HERMITIAN, lambda xt: s.apply_adjoint(a.apply(s.apply(xt))),
-            real=a.real and s.real)
+        b = working_vector(a, b) if s.real else as_vector(b, a.dim)
         bt = s.apply_adjoint(b)
-        red = solve(at, bt, opts)
-        rhat = s.apply(red.r)
+        red = solve(s.reduce(a, kind), bt, opts)
+        xt, rt = (red.x.real, red.r.real) if b.dtype == np.float64 else (red.x, red.r)
+        rhat = s.apply(rt)
     elif kind == COMPLEX_SYMMETRIC:
-        at = CallableOperator(
-            s.m, COMPLEX_SYMMETRIC, lambda xt: s.apply_transpose(a.apply(s.apply(xt))))
+        b = as_vector(b, a.dim)
         bt = s.apply_transpose(b)
-        red = solve_cs(at, bt, opts)
+        red = solve_cs(s.reduce(a, kind), bt, opts)
+        xt = red.x
         rhat = s.apply_conj(red.r)
     else:
         raise ValueError(f"subsolve supports hermitian/complex_symmetric, got {kind!r}")
-    x = s.apply(red.x)
+    x = s.apply(xt)
     r_true = b - a.apply(x)
+    x, rhat, r_true = (v.astype(np.complex128, copy=False) for v in (x, rhat, r_true))
     return SolveReport(x=x, r=r_true, phi=red.phi, norm_b=norm(b),
                        termination=red.termination, iterations=red.iterations,
                        grade=red.grade, kind=kind, preconditioned=True,
