@@ -32,7 +32,7 @@ from .minres_h import SolveOptions, lift, solve
 from .npc_monitor import attach, check_monotonicity, verify_identities
 from .oracle import pinv
 from .pminres import (DenseSubOperator, KroneckerSubOperator, Preconditioner,
-                      plift, psolve_cs, psolve_h, sublift, subsolve)
+                      psolve_cs, psolve_h, sublift, subsolve)
 from .precon_factory import (RankFamilySpec, make_npc_matrix, make_npc_suite,
                              make_rank_family, run_error_sweep)
 from .synthetic import rand_matrix, rng_for
@@ -153,16 +153,16 @@ def cmd_precon_sweep(args) -> int:
             spec = RankFamilySpec(dim=args.d, seed=args.seed + 1,
                                   basis_source=source, kind=kind)
             family = make_rank_family(spec, a)
-            metrics = run_error_sweep(a, b, family, kind)
+            sweep = run_error_sweep(a, b, family, kind)
             weight_scale = max(float(m.sigma.max()) for m in family)
-            for row in metrics.rows:
+            for row in sweep:
                 rows.append((family_name, kind, row.rank, row.e_x, row.e_x_hat,
                              row.e_r, row.e_p, row.norm_m_r, row.norm_am_r))
             if not args.assert_properties:
                 continue
             mr_scale = weight_scale * b_norm
             amr_scale = a_norm * mr_scale
-            for row in metrics.rows:
+            for row in sweep:
                 tag = f"{kind}/{family_name}/i={row.rank}"
                 if row.b_holds and row.norm_m_r > 1e-8 * mr_scale:
                     failures.append(f"{tag}: ||M r|| = {row.norm_m_r:.3e}")
@@ -171,11 +171,11 @@ def cmd_precon_sweep(args) -> int:
                 if row.a_holds and row.norm_am_r > 1e-8 * amr_scale:
                     failures.append(f"{tag}: ||A M r|| = {row.norm_am_r:.3e}")
             if family_name == "range_preserved":
-                at_r = [row for row in metrics.rows if row.rank == args.rank]
+                at_r = [row for row in sweep if row.rank == args.rank]
                 if not at_r or at_r[0].e_x > 1e-8:
                     failures.append(f"{kind}/range_preserved: E_x at i=r not ~0")
             else:
-                if any(row.e_x <= 1e-3 for row in metrics.rows):
+                if any(row.e_x <= 1e-3 for row in sweep):
                     failures.append(f"{kind}/non_range_preserved: E_x <= 1e-3 "
                                     "at some rank")
     config = {"cmd": "precon-sweep", "d": args.d, "rank": args.rank,

@@ -167,23 +167,13 @@ class CallableOperator(LinearOperator):
     """Operator defined by a user callable v -> A v; pass ``real=True``
     when the callable maps real vectors to real vectors."""
 
-    def __init__(self, dim: int, kind: str, fn, conj_fn=None, real: bool = False):
+    def __init__(self, dim: int, kind: str, fn, real: bool = False):
         super().__init__(dim, kind)
         self._fn = fn
-        self._conj_fn = conj_fn
         self.real = real
 
     def _apply(self, v):
         return self._fn(v)
-
-    def apply_conj(self, v):
-        if self._conj_fn is not None:
-            v = as_vector(v, self.dim)
-            out = np.asarray(self._conj_fn(v), dtype=np.complex128)
-            if not np.all(np.isfinite(out.view(np.float64))):
-                raise NonFiniteOperatorOutput("operator output contains NaN/Inf")
-            return out
-        return super().apply_conj(v)
 
 
 class KroneckerOperator(LinearOperator):
@@ -239,10 +229,6 @@ class GaussianBlurToeplitz(LinearOperator):
 
     def matrix(self):
         return self.z.astype(np.complex128)
-
-
-def identity_operator(dim: int, kind: str = HERMITIAN) -> LinearOperator:
-    return DenseOperator(np.eye(dim), kind)
 
 
 def probe_symmetry(op: LinearOperator, trials: int = 10, seed: int = 0,

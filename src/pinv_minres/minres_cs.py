@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import COMPLEX_SYMMETRIC, LinearOperator, as_vector, norm
-from .minres_h import SolveOptions, SolveReport, _minres
+from .core import COMPLEX_SYMMETRIC, LinearOperator, as_vector
+from .minres_h import SolveOptions, SolveReport, _minres, lift
 
 
 def solve_cs(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
@@ -26,15 +26,10 @@ def solve_cs(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveRep
 
 
 def lift_cs(x: np.ndarray, r: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
-    """Lifted vector x - (<conj(r), x> / ||conj(r)||^2) conj(r).
+    """Lifted vector x - (<conj(r), x> / ||conj(r)||^2) conj(r): ``lift``
+    along conj(r), which has the norm of r.
 
     For real x and r this reduces to the Hermitian lifting formula.  A
     (near-)zero r returns x unchanged.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    r = as_vector(r, x.shape[0])
-    nr = norm(r)
-    if nr <= zero_tol or nr == 0.0:
-        return x.copy()
-    rbar = np.conj(r)
-    return x - (np.vdot(rbar, x) / (nr * nr)) * rbar
+    return lift(x, np.conj(as_vector(r)), zero_tol)

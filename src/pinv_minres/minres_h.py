@@ -25,14 +25,14 @@ from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
 
 TERM_BETA_ZERO = "beta_zero"
 TERM_GAMMA_ZERO = "gamma_zero"
-TERM_RESIDUAL_TARGET = "residual_target"
 TERM_MAX_ITER = "max_iter"
 TERM_NULL_PRECONDITIONED_RHS = "b_in_null_m"
 
 
 @dataclass
 class SolveOptions:
-    """Solver knobs.
+    """Solver knobs: ``max_iterations``, ``eps_zero``,
+    ``normal_residual_target``, ``record_trace`` and ``reorthogonalize``.
 
     ``eps_zero`` scales the floating-point zero tests: beta_{t+1} is
     declared zero at beta_{t+1} <= eps_zero * beta_1 and the rotated pivot
@@ -53,7 +53,6 @@ class SolveOptions:
 
     max_iterations: int | None = None     # default: 2 d + 10
     eps_zero: float = 1e-8                # relative zero test for beta, gamma
-    residual_target: float | None = None  # relative ||r|| target (plumbing)
     normal_residual_target: float | None = 1e-8  # relative ||A r|| stop
     record_trace: bool = False
     reorthogonalize: bool = False
@@ -80,11 +79,9 @@ class Trace:
     cs: list = field(default_factory=list)
     ss: list = field(default_factory=list)
     taus: list = field(default_factory=list)
-    deltas2: list = field(default_factory=list)        # delta_t^[2]
     basis: list = field(default_factory=list)          # v_t (Lanczos/Saunders)
     directions: list = field(default_factory=list)     # d_t
     # preconditioned extras
-    zs: list = field(default_factory=list)             # z_t
     ws: list = field(default_factory=list)             # w_t
     rhats: list = field(default_factory=list)          # r_hat_t
     rbreves: list = field(default_factory=list)        # r_breve_t
@@ -301,7 +298,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         else:
             trace.rhats.append(rhat.copy())
             trace.rbreves.append(rbrev.copy())
-            trace.zs.append(beta * v)
             trace.ws.append(beta * u)
         trace.phis.append(float(phi))
         trace.alphas.append(complex(alpha))
@@ -311,7 +307,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         trace.cs.append(complex(c))
         trace.ss.append(float(s))
         trace.taus.append(complex(tau))
-        trace.deltas2.append(complex(delta2))
         trace.directions.append(dvec.astype(np.complex128))
 
     termination = TERM_MAX_ITER
@@ -387,9 +382,5 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         v_prev, v, u, beta = v, v_next, u_next, beta_next
         if buffer is not None:
             buffer.push(v, None if m is None else u)
-
-        if opts.residual_target is not None and phi <= opts.residual_target * beta1:
-            termination = TERM_RESIDUAL_TARGET
-            break
 
     return report(x, rbrev, rhat, phi, termination, t, g, beta1)

@@ -20,6 +20,8 @@ from .minres_h import SolveReport
 from .pminres import Preconditioner
 
 NPC_TOL = 1e-10
+IDENTITY_RTOL = 1e-8     # relative tolerance of the conserved identities
+STRICT_TOL = 1e-10       # relative slack of the strict inequalities
 
 
 @dataclass
@@ -49,9 +51,6 @@ class IdentityViolation:
     iteration: int
     name: str
     magnitude: float
-
-    def csv_row(self):
-        return (self.iteration, self.name, self.magnitude)
 
 
 def _tridiagonal(alphas, betas, t):
@@ -122,9 +121,8 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
 
 
 def verify_identities(monot: MonotonicityTrace, report: SolveReport,
-                      a: LinearOperator, m: Preconditioner, b,
-                      rtol: float = 1e-8,
-                      strict_tol: float = 1e-10) -> list[IdentityViolation]:
+                      a: LinearOperator, m: Preconditioner,
+                      b) -> list[IdentityViolation]:
     """Check the conserved quantities of the preconditioned Hermitian run
     over the pre-detection prefix; violations are collected, not raised.
 
@@ -133,7 +131,8 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     gamma_t.  Energy: <r_hat_t, b> = phi_t^2.  Positivity (strictly pre-NPC):
     <tau_t d_t, r_{t-j}> > 0 and <x_t, b> - <x_t, A x_t> > 0.
 
-    Tolerances are ``rtol`` relative to the quantities compared, plus a
+    Tolerances are ``IDENTITY_RTOL`` relative to the quantities compared
+    (``STRICT_TOL`` for the sign of the strict inequalities), plus a
     roundoff floor at the problem's scale.  Each proxy r_hat_t is built by
     a recurrence that starts from r_hat_0 = M b and is computed in d-term
     sums, so it carries an absolute error of order d eps ||r_hat_0||, with
@@ -170,13 +169,13 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
         # <r_hat_t, A x_i> = 0 for i <= t
         for i in range(1, t + 1):
             val = abs(np.vdot(rhat, ax[i - 1]))
-            tol = (rtol * nrhat + floor) * n_ax[i - 1]
+            tol = (IDENTITY_RTOL * nrhat + floor) * n_ax[i - 1]
             if val > tol:
                 violations.append(IdentityViolation(t, f"rhat_A_x[i={i}]", val))
         # <r_hat_i, A r_hat_t> = 0 for i != t
         for i in range(1, t):
             val = abs(np.vdot(trace.rhats[i - 1], arhat[idx]))
-            tol = (rtol * n_rhat[i - 1] * n_arhat[idx]
+            tol = (IDENTITY_RTOL * n_rhat[i - 1] * n_arhat[idx]
                    + floor * (n_arhat[i - 1] + n_arhat[idx]))
             if val > tol:
                 violations.append(IdentityViolation(t, f"rhat_A_rhat[i={i}]", val))
@@ -187,7 +186,7 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
         c_prev = trace.cs[idx - 1].real if t >= 2 else -1.0
         lhs = np.vdot(rhat_prev, arhat_prev).real
         rhs = -(phi_prev**2) * c_prev * trace.gammas_pre[idx].real
-        tol = (rtol * (abs(lhs) + abs(rhs) + phi_prev**2)
+        tol = (IDENTITY_RTOL * (abs(lhs) + abs(rhs) + phi_prev**2)
                + 2 * floor * norm(arhat_prev))
         if abs(lhs - rhs) > tol:
             violations.append(IdentityViolation(t, "curvature_identity",
@@ -195,7 +194,7 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
         # <r_hat_t, b> = phi_t^2
         val = np.vdot(rhat, b)
         phi2 = trace.phis[idx] ** 2
-        tol = rtol * (phi2 + nrhat * nb) + floor * nb
+        tol = IDENTITY_RTOL * (phi2 + nrhat * nb) + floor * nb
         if abs(val - phi2) > tol:
             violations.append(IdentityViolation(t, "rhat_b_phi2", abs(val - phi2)))
         # strict positivity holds for t strictly before the final iteration
@@ -207,19 +206,19 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
             r_prev = b if j == t else residuals[t - j - 1]
             val = np.vdot(td, r_prev)
             scale = norm(td) * norm(r_prev) + 1e-30
-            if val.real < -strict_tol * scale or abs(val.imag) > rtol * scale:
+            if (val.real < -STRICT_TOL * scale
+                    or abs(val.imag) > IDENTITY_RTOL * scale):
                 violations.append(IdentityViolation(t, f"tau_d_r[j={j}]", -val.real))
         # <x_t, b> - <x_t, A x_t> > 0
         x = trace.iterates[idx]
         val = np.vdot(x, b).real - np.vdot(x, ax[idx]).real
         scale = norm(x) * (norm(b) + norm(ax[idx])) + 1e-30
-        if val < -strict_tol * scale:
+        if val < -STRICT_TOL * scale:
             violations.append(IdentityViolation(t, "x_b_minus_x_A_x", -val))
     return violations
 
 
-def check_monotonicity(monot: MonotonicityTrace,
-                       strict_tol: float = 1e-10) -> list[IdentityViolation]:
+def check_monotonicity(monot: MonotonicityTrace) -> list[IdentityViolation]:
     """Pre-detection monotonicity: m(x_t) strictly decreasing, <x_t, b> and
     ||x_t||_{M^+} strictly increasing, lambda_min(T_t) > 0 strictly before
     the first detection."""
@@ -231,24 +230,24 @@ def check_monotonicity(monot: MonotonicityTrace,
     nx_scale = max(monot.x_mdag_norms[:prefix] or [1.0]) + 1e-30
     for t in range(2, prefix + 1):
         idx = t - 1
-        if monot.m_values[idx] - monot.m_values[idx - 1] > strict_tol * m_scale:
+        if monot.m_values[idx] - monot.m_values[idx - 1] > STRICT_TOL * m_scale:
             violations.append(IdentityViolation(
                 t, "m_decreasing", monot.m_values[idx] - monot.m_values[idx - 1]))
-        if monot.xb_values[idx] - monot.xb_values[idx - 1] < -strict_tol * xb_scale:
+        if monot.xb_values[idx] - monot.xb_values[idx - 1] < -STRICT_TOL * xb_scale:
             violations.append(IdentityViolation(
                 t, "xb_increasing", monot.xb_values[idx - 1] - monot.xb_values[idx]))
-        if monot.x_mdag_norms[idx] - monot.x_mdag_norms[idx - 1] < -strict_tol * nx_scale:
+        if monot.x_mdag_norms[idx] - monot.x_mdag_norms[idx - 1] < -STRICT_TOL * nx_scale:
             violations.append(IdentityViolation(
                 t, "x_mdag_increasing",
                 monot.x_mdag_norms[idx - 1] - monot.x_mdag_norms[idx]))
     lam_scale = max([abs(v) for v in monot.lambda_mins] or [1.0]) + 1e-30
     for t in range(1, prefix + 1):
-        if monot.lambda_mins[t - 1] <= -strict_tol * lam_scale:
+        if monot.lambda_mins[t - 1] <= -STRICT_TOL * lam_scale:
             violations.append(IdentityViolation(
                 t, "lambda_min_positive_pre_npc", -monot.lambda_mins[t - 1]))
     if monot.detected_at is not None:
         lam = monot.lambda_mins[monot.detected_at - 1]
-        if lam > strict_tol * lam_scale:
+        if lam > STRICT_TOL * lam_scale:
             violations.append(IdentityViolation(
                 monot.detected_at, "lambda_min_nonpositive_at_npc", lam))
     return violations

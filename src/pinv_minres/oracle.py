@@ -28,13 +28,6 @@ class OracleDecomposition:
     values: np.ndarray     # r nonzero eigenvalues / positive singular values
     rank: int
     u_perp: np.ndarray     # d x (d - r), orthonormal complement
-    kind: str              # "hermitian" or "complex_symmetric"
-
-    def pinv_apply(self, b: np.ndarray) -> np.ndarray:
-        if self.kind == HERMITIAN:
-            return self.u @ ((self.u.conj().T @ b) / self.values)
-        # Takagi: A^+ = conj(U) diag(1/sigma) U^H
-        return np.conj(self.u) @ ((self.u.conj().T @ b) / self.values)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -89,12 +82,12 @@ def hermitian_eig(a, rtol: float = RANK_RTOL) -> OracleDecomposition:
     a = _as_matrix(a)
     lam, q = np.linalg.eigh(a)
     if a.shape[0] == 0:
-        return OracleDecomposition(q, lam, 0, q, HERMITIAN)
+        return OracleDecomposition(q, lam, 0, q)
     cutoff = rtol * max(np.abs(lam).max(), 0.0)
     keep = np.abs(lam) > cutoff
     return OracleDecomposition(
         u=q[:, keep], values=lam[keep].astype(np.float64),
-        rank=int(keep.sum()), u_perp=q[:, ~keep], kind=HERMITIAN)
+        rank=int(keep.sum()), u_perp=q[:, ~keep])
 
 
 def takagi(a, rtol: float = RANK_RTOL) -> OracleDecomposition:
@@ -128,7 +121,7 @@ def takagi(a, rtol: float = RANK_RTOL) -> OracleDecomposition:
         qq, _ = np.linalg.qr(basis)
         u_perp = qq[:, : d - r]
     return OracleDecomposition(u=u, values=sigma.astype(np.float64),
-                               rank=r, u_perp=u_perp, kind=COMPLEX_SYMMETRIC)
+                               rank=r, u_perp=u_perp)
 
 
 def _krylov_dimension(seq_vectors, rtol: float) -> int:

@@ -114,17 +114,6 @@ class Preconditioner:
         from .oracle import hermitian_eig
         return hermitian_eig(self.matrix()).u
 
-    def probe_psd(self, trials: int = 10, seed: int = 0) -> bool:
-        rng = np.random.Generator(np.random.Philox(seed))
-        for _ in range(trials):
-            v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            mv = self.apply(v)
-            q = np.vdot(v, mv)
-            scale = norm(v) * norm(mv) + 1e-300
-            if q.real < -1e-12 * scale or abs(q.imag) > 1e-10 * scale:
-                return False
-        return True
-
 
 class SubOperator:
     """Matrix-free sub-preconditioner factor S in C^{d x m}.  A subclass
@@ -148,10 +137,6 @@ class SubOperator:
 
     def apply_conj(self, v) -> np.ndarray:       # conj(S) v
         return np.conj(self.apply(np.conj(as_vector(v, self.m))))
-
-    def preconditioner(self) -> Preconditioner:
-        return Preconditioner(self.d, lambda v: self.apply(self.apply_adjoint(v)),
-                              factor=self)
 
     def reduce(self, a: LinearOperator, kind: str) -> LinearOperator:
         """The reduced operator S^H A S (S^T A S for the complex-symmetric
@@ -232,8 +217,7 @@ def psolve_cs(a: LinearOperator, m: Preconditioner, b,
     return _minres(a, b, opts or SolveOptions(), m, complex_symmetric=True)
 
 
-def plift(report: SolveReport, kind: str | None = None,
-          eps_zero: float = 1e-12) -> np.ndarray:
+def plift(report: SolveReport) -> np.ndarray:
     """Lifting for a preconditioned solve: removes the residual-proxy
     component from the final iterate, yielding S [S^H A S]^+ S^H b at the
     final iteration (the pseudo-inverse solution of the reduced problem).
@@ -251,19 +235,18 @@ def plift(report: SolveReport, kind: str | None = None,
     if not report.preconditioned or report.r_hat is None or report.r_breve is None:
         raise ValueError("plift needs a preconditioned solve report with "
                          "r_hat and r_breve populated")
-    kind = kind or report.kind
     x = report.x
     if (norm(report.r_hat) == 0.0
             or report.phi**2 <= 1e-12 * (report.beta1 or 0.0) ** 2):
         return x.copy()
-    if kind == COMPLEX_SYMMETRIC:
+    if report.kind == COMPLEX_SYMMETRIC:
         rh = np.conj(report.r_hat)
         rb = np.conj(report.r_breve)
     else:
         rh = report.r_hat
         rb = report.r_breve
     denom = np.vdot(rh, rb)
-    if abs(denom) <= eps_zero * norm(rh) * norm(rb):
+    if abs(denom) <= 1e-12 * norm(rh) * norm(rb):
         raise ValueError("degenerate lifting denominator")
     return x - (np.vdot(rb, x) / denom) * rh
 
@@ -315,10 +298,14 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
 
 
 def sublift(report: SolveReport, s: SubOperator) -> np.ndarray:
-    """Lift a subsolve result through the reduced problem: S lift(x~, r~)."""
+    """Lift a subsolve result through the reduced problem: S lift(x~, r~),
+    made as one float64 product on the real path, as in ``subsolve``."""
     red = report.reduced
     if red is None:
         raise ValueError("sublift needs a report produced by subsolve")
     if red.kind == COMPLEX_SYMMETRIC:
         return s.apply(lift_cs(red.x, red.r))
-    return s.apply(lift(red.x, red.r))
+    xt = lift(red.x, red.r)
+    if s.real and not xt.imag.any():
+        return s.apply(xt.real).astype(np.complex128)
+    return s.apply(xt)

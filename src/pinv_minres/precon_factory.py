@@ -7,7 +7,7 @@ seed, so repeated runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,23 +16,16 @@ from .minres_h import SolveOptions
 from .oracle import (check_rank_assumptions, hermitian_eig,
                      lifted_problem_pinv, numerical_rank, pinv, takagi)
 from .pminres import Preconditioner, plift, psolve_cs, psolve_h
-
-BASIS_SOURCES = ("random_psd_svd", "range_preserved", "eigen_positive",
-                 "eigen_all", "sketch")
+from .synthetic import rng_for
 
 
 @dataclass
 class RankFamilySpec:
     dim: int
     seed: int = 0
-    basis_source: str = "random_psd_svd"
+    basis_source: str = "random_psd_svd"  # or "range_preserved" (needs A)
     kind: str = HERMITIAN          # matrix class the family targets
-    ranks: list[int] | None = None  # default 1..dim (or basis width)
-    sketch_cols: int | None = None  # only for the "sketch" source
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+    ranks: list[int] | None = None  # default 1..dim
 
 
 def _complex_gaussian(rng, *shape) -> np.ndarray:
@@ -79,20 +72,6 @@ def _basis_matrix(spec: RankFamilySpec, a: np.ndarray | None,
             raise RuntimeError("random PSD factor lost rank; retry with a new seed")
         u, _, _ = np.linalg.svd(prod)
         return u
-    if source == "eigen_positive":
-        if a is None:
-            raise ValueError("eigen_positive basis requires the dense matrix")
-        dec = hermitian_eig(a)
-        return dec.u[:, dec.values > 0]
-    if source == "eigen_all":
-        if a is None:
-            raise ValueError("eigen_all basis requires the dense matrix")
-        return hermitian_eig(a).u
-    if source == "sketch":
-        cols = spec.sketch_cols or d
-        g = rng.standard_normal((d, cols))
-        u, _, _ = np.linalg.svd(g, full_matrices=False)
-        return u.astype(np.complex128)
     raise ValueError(f"unknown basis source {source!r}")
 
 
@@ -101,7 +80,7 @@ def make_rank_family(spec: RankFamilySpec,
     """Preconditioners M_i = P_i diag(w_1..w_i) P_i^H for a rank schedule i,
     with the orthonormal columns P drawn from the requested source and
     strictly positive weights."""
-    rng = _rng(spec.seed)
+    rng = rng_for(spec.seed)
     weights = _positive_weights(rng, spec.dim)
     basis = _basis_matrix(spec, a, rng)
     width = basis.shape[1]
@@ -121,7 +100,7 @@ def make_npc_matrix(d: int = 20, rank: int = 15, r_plus: int = 14,
     the rest zero.  Returns (A, U_plus, u_minus)."""
     if not (0 < r_plus < rank <= d):
         raise ValueError("need 0 < r_plus < rank <= d")
-    rng = _rng(seed)
+    rng = rng_for(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     vals = np.concatenate([np.logspace(0.0, 2.0, r_plus), [-1.0],
                            np.zeros(d - r_plus - 1)])
@@ -146,7 +125,7 @@ def make_npc_suite(a: np.ndarray, u_plus: np.ndarray, u_minus: np.ndarray,
     d = a.shape[0]
     r_plus = u_plus.shape[1]
     r = r_plus + u_minus.shape[1]
-    rng = _rng(seed)
+    rng = rng_for(seed)
     s1 = rng.standard_normal((d, r))
     m1 = Preconditioner.from_factor(s1)
     eigs = _positive_weights(rng, d)
@@ -171,37 +150,24 @@ class ErrorRow:
     b_holds: bool
 
 
-@dataclass
-class ErrorMetrics:
-    rows: list[ErrorRow] = field(default_factory=list)
-
-    CSV_COLUMNS = ("i", "E_x", "E_x_hat", "E_r", "E_P", "norm_Mr", "norm_AMr")
-
-    def csv_rows(self):
-        for row in self.rows:
-            yield (row.rank, row.e_x, row.e_x_hat, row.e_r, row.e_p,
-                   row.norm_m_r, row.norm_am_r)
-
-
 def run_error_sweep(a: np.ndarray, b: np.ndarray,
-                    family: list[Preconditioner], kind: str = HERMITIAN,
-                    opts: SolveOptions | None = None) -> ErrorMetrics:
+                    family: list[Preconditioner],
+                    kind: str = HERMITIAN) -> list[ErrorRow]:
     """Solve with every preconditioner of the family and compare against the
     dense oracle: final-iterate error, lifted error, residual error, error
     against the range-projected pseudo-inverse target, and the norms of
-    M r and A^H M r at the final iterate."""
+    M r and A^H M r at the final iterate; one row per preconditioner."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     op = DenseOperator(a, kind)
     # the exact-termination identities checked downstream need clean
-    # orthogonality, so the sweep reorthogonalizes by default
-    opts = opts or SolveOptions(max_iterations=4 * a.shape[0],
-                                reorthogonalize=True)
+    # orthogonality, so the sweep reorthogonalizes
+    opts = SolveOptions(max_iterations=4 * a.shape[0], reorthogonalize=True)
     xd = pinv(a) @ b
     rd = b - a @ xd
     nxd = np.linalg.norm(xd)
     nrd = np.linalg.norm(rd)
-    metrics = ErrorMetrics()
+    rows = []
     for m in family:
         if kind == COMPLEX_SYMMETRIC:
             rep = psolve_cs(op, m, b, opts)
@@ -220,7 +186,7 @@ def run_error_sweep(a: np.ndarray, b: np.ndarray,
             rhat_true = m.apply(r_g)
             am_r = a @ rhat_true
         flags = check_rank_assumptions(a, p, kind)
-        metrics.rows.append(ErrorRow(
+        rows.append(ErrorRow(
             rank=m.rank if m.rank is not None else numerical_rank(m.matrix()),
             e_x=float(np.linalg.norm(x_g - xd) / nxd),
             e_x_hat=float(np.linalg.norm(x_hat - xd) / nxd),
@@ -231,4 +197,4 @@ def run_error_sweep(a: np.ndarray, b: np.ndarray,
             a_holds=flags["a_holds"],
             b_holds=flags["b_holds"],
         ))
-    return metrics
+    return rows

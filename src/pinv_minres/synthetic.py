@@ -54,10 +54,6 @@ def rand_skew_hermitian(d: int, rank: int, seed: int) -> np.ndarray:
     return 1j * rand_hermitian(d, rank, seed)
 
 
-def rand_psd(d: int, rank: int, seed: int) -> np.ndarray:
-    return rand_hermitian(d, rank, seed, indefinite=False)
-
-
 def rand_matrix(kind: str, d: int, rank: int, seed: int) -> np.ndarray:
     if kind == "hermitian":
         return rand_hermitian(d, rank, seed)

@@ -5,7 +5,7 @@ from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                               CallableOperator, DenseOperator,
                               DimensionMismatch, GaussianBlurToeplitz,
                               KroneckerOperator, NonFiniteOperatorOutput,
-                              identity_operator, inner, probe_symmetry)
+                              inner, probe_symmetry)
 
 
 class TestApply:
@@ -99,7 +99,7 @@ class TestProbeSymmetry:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            probe_symmetry(identity_operator(2), trials=0)
+            probe_symmetry(DenseOperator(np.eye(2), HERMITIAN), trials=0)
 
 
 class TestInnerProduct:

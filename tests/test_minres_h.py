@@ -5,8 +5,8 @@ from conftest import rel_err
 from pinv_minres.core import (HERMITIAN, SKEW_HERMITIAN, DenseOperator,
                               DimensionMismatch)
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
-                                  TERM_MAX_ITER, TERM_RESIDUAL_TARGET,
-                                  SolveOptions, lift, solve, solve_skew)
+                                  TERM_MAX_ITER, SolveOptions, lift, solve,
+                                  solve_skew)
 from pinv_minres.oracle import pinv, verify_moore_penrose
 from pinv_minres.synthetic import (rand_hermitian, rand_skew_hermitian,
                                    rng_for)
@@ -60,13 +60,6 @@ class TestSolve:
         assert rep.termination == TERM_MAX_ITER
         assert rep.iterations == 3
         assert rep.grade is None
-
-    def test_residual_target_plumbing(self):
-        a = rand_hermitian(20, 20, seed=103)
-        rep = solve(DenseOperator(a, HERMITIAN), np.ones(20),
-                    SolveOptions(residual_target=1e-3))
-        assert rep.termination == TERM_RESIDUAL_TARGET
-        assert rep.phi <= 1e-3 * rep.norm_b
 
 
 class TestStateInvariants:

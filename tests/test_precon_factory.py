@@ -6,9 +6,9 @@ from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
 from pinv_minres.minres_h import SolveOptions
 from pinv_minres.oracle import (check_rank_assumptions, numerical_rank, pinv)
 from pinv_minres.pminres import plift, psolve_h
-from pinv_minres.precon_factory import (ErrorMetrics, RankFamilySpec,
-                                        make_npc_matrix, make_npc_suite,
-                                        make_rank_family, run_error_sweep)
+from pinv_minres.precon_factory import (RankFamilySpec, make_npc_matrix,
+                                        make_npc_suite, make_rank_family,
+                                        run_error_sweep)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rng_for)
 
@@ -28,7 +28,10 @@ class TestMakeRankFamily:
         spec = RankFamilySpec(dim=10, seed=2, basis_source="random_psd_svd")
         family = make_rank_family(spec)
         for i, m in enumerate(family, start=1):
-            assert m.probe_psd()
+            mat = m.matrix()
+            scale = np.linalg.norm(mat, 2)
+            assert np.linalg.norm(mat - mat.conj().T) <= 1e-12 * scale
+            assert np.linalg.eigvalsh(mat).min() >= -1e-12 * scale
             assert numerical_rank(m.matrix()) == i
             assert np.all(m.sigma > 0)
 
@@ -113,18 +116,17 @@ class TestRunErrorSweep:
         b = np.ones(20, dtype=complex)
         spec = RankFamilySpec(dim=20, seed=11, basis_source="range_preserved",
                               kind=kind)
-        metrics = run_error_sweep(a, b, make_rank_family(spec, a), kind)
-        at_rank = {row.rank: row for row in metrics.rows}
+        rows = run_error_sweep(a, b, make_rank_family(spec, a), kind)
+        at_rank = {row.rank: row for row in rows}
         assert at_rank[15].e_x <= 1e-8
-        assert all(row.e_x > 1e-3 for row in metrics.rows if row.rank != 15)
+        assert all(row.e_x > 1e-3 for row in rows if row.rank != 15)
 
     def test_projected_problem_solved_whenever_b_holds(self):
         a = rand_hermitian(20, 15, seed=411)
         b = np.ones(20, dtype=complex)
         for source in ("range_preserved", "random_psd_svd"):
             spec = RankFamilySpec(dim=20, seed=12, basis_source=source)
-            metrics = run_error_sweep(a, b, make_rank_family(spec, a))
-            for row in metrics.rows:
+            for row in run_error_sweep(a, b, make_rank_family(spec, a)):
                 if row.b_holds:
                     assert row.e_p <= 1e-8
                     assert row.norm_m_r <= 1e-8 * np.linalg.norm(b) * 4
@@ -136,16 +138,14 @@ class TestRunErrorSweep:
         a = rand_hermitian(20, 15, seed=412)
         b = np.ones(20, dtype=complex)
         spec = RankFamilySpec(dim=20, seed=13, basis_source="random_psd_svd")
-        metrics = run_error_sweep(a, b, make_rank_family(spec, a))
-        assert all(row.e_x > 1e-3 for row in metrics.rows)
+        rows = run_error_sweep(a, b, make_rank_family(spec, a))
+        assert all(row.e_x > 1e-3 for row in rows)
 
     def test_csv_rows_match_schema(self):
         a = rand_hermitian(8, 5, seed=413)
         spec = RankFamilySpec(dim=8, seed=14, basis_source="random_psd_svd",
                               ranks=[1, 4, 8])
-        metrics = run_error_sweep(a, np.ones(8, dtype=complex),
-                                  make_rank_family(spec, a))
-        rows = list(metrics.csv_rows())
+        rows = run_error_sweep(a, np.ones(8, dtype=complex),
+                               make_rank_family(spec, a))
         assert len(rows) == 3
-        assert len(rows[0]) == len(ErrorMetrics.CSV_COLUMNS)
-        assert [r[0] for r in rows] == [1, 4, 8]
+        assert [r.rank for r in rows] == [1, 4, 8]

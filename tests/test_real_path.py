@@ -36,6 +36,18 @@ def _factor(zeros: int, seed: int):
     return z, evecs[:, np.argsort(np.abs(evals))[::-1][:5]]
 
 
+class _SubDtypeRecorder(KroneckerSubOperator):
+    """Records the dtype of every vector S receives."""
+
+    def __init__(self, c):
+        super().__init__(c)
+        self.seen = []
+
+    def apply(self, v):
+        self.seen.append(np.asarray(v).dtype)
+        return super().apply(v)
+
+
 class _ComplexKronecker(KroneckerOperator):
     """The same products, declared complex: the complex path."""
 
@@ -113,6 +125,24 @@ def test_zero_imaginary_b_runs_in_float64():
                    SolveOptions(max_iterations=STEPS))
     assert op.seen == [np.dtype(np.float64)]
     assert sub.x.dtype == sub.r.dtype == sub.r_hat.dtype == np.complex128
+
+
+def test_sublift_product_runs_in_float64():
+    # the reduced report's vectors are complex128 with zero imaginary parts;
+    # S lift(x~, r~) must still be one real product, bitwise equal to the
+    # split complex product
+    z, c = _factor(3, 7)
+    b = np.random.default_rng(8).standard_normal(N * N)
+    s = _SubDtypeRecorder(c)
+    sub = subsolve(KroneckerOperator(z), s, b,
+                   SolveOptions(max_iterations=STEPS))
+    s.seen.clear()
+    got = sublift(sub, s)
+    assert s.seen == [np.dtype(np.float64)]
+    assert got.dtype == np.complex128
+    ref = KroneckerSubOperator(c).apply(lift(sub.reduced.x, sub.reduced.r))
+    assert ref.dtype == np.complex128
+    assert np.array_equal(got, ref)
 
 
 def test_complex_b_stays_complex():
