@@ -12,6 +12,8 @@ from several solves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN = "hermitian"
@@ -19,6 +21,9 @@ SKEW_HERMITIAN = "skew_hermitian"
 COMPLEX_SYMMETRIC = "complex_symmetric"
 
 SYMMETRY_KINDS = (HERMITIAN, SKEW_HERMITIAN, COMPLEX_SYMMETRIC)
+
+_FLOAT64 = np.dtype(np.float64)
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 class DimensionMismatch(ValueError):
@@ -31,7 +36,12 @@ class NonFiniteOperatorOutput(RuntimeError):
 
 def as_vector(v, dim: int | None = None, real: bool = False) -> np.ndarray:
     """Return ``v`` as a 1-D complex128 array, checking its length; with
-    ``real`` a real ``v`` is returned as float64 instead."""
+    ``real`` a real ``v`` is returned as float64 instead.  An ndarray that
+    already is that vector is returned unchanged."""
+    if (type(v) is np.ndarray and v.ndim == 1
+            and (dim is None or v.shape[0] == dim)
+            and (v.dtype == _COMPLEX128 or (real and v.dtype == _FLOAT64))):
+        return v
     if real and not np.iscomplexobj(v):
         arr = np.asarray(v, dtype=np.float64)
     else:
@@ -76,6 +86,20 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def norm(x: np.ndarray) -> float:
+    """Euclidean norm, bitwise equal to ``np.linalg.norm(x)``.
+
+    A 1-D float64 or complex128 array takes numpy's own formula,
+    sqrt(x.x) or sqrt(xr.xr + xi.xi) over ``ravel(order="K")``, without the
+    dispatch of ``np.linalg.norm``; anything else goes through it.
+    """
+    if type(x) is np.ndarray and x.ndim == 1:
+        if x.dtype == _COMPLEX128:
+            x = x.ravel(order="K")
+            xr, xi = x.real, x.imag
+            return math.sqrt(xr.dot(xr) + xi.dot(xi))
+        if x.dtype == _FLOAT64:
+            x = x.ravel(order="K")
+            return math.sqrt(x.dot(x))
     return float(np.linalg.norm(x))
 
 
@@ -110,7 +134,7 @@ class LinearOperator:
         if out.shape != (self.dim,):
             raise DimensionMismatch(
                 f"operator returned shape {out.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(out.view(np.float64))):
+        if not np.isfinite(out.view(np.float64)).all():
             raise NonFiniteOperatorOutput("operator output contains NaN/Inf")
         return out
 

@@ -15,13 +15,14 @@ The one recurrence engine, ``_minres``, lives here: ``solve``, ``solve_skew``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
-                   CallableOperator, LinearOperator, as_vector, norm,
-                   working_vector)
+                   CallableOperator, LinearOperator, NonFiniteOperatorOutput,
+                   as_vector, norm, working_vector)
 
 TERM_BETA_ZERO = "beta_zero"
 TERM_GAMMA_ZERO = "gamma_zero"
@@ -201,9 +202,19 @@ def _beta_from(z: np.ndarray, w: np.ndarray, complex_symmetric: bool,
     sign and realness checks from firing on noise-level pairs: near
     termination w suffers total cancellation and its direction carries no
     information, so only violations at the problem scale are meaningful.
+
+    The pairing is accepted at once, before the two norms of the full
+    scale are taken, when it is finite, its real part is >= 0 and its
+    imaginary part is at most 1e-8 * ``scale_floor``: no check can fire
+    then.  A pairing that is NaN or Inf means w = M z holds NaN/Inf and
+    raises ``NonFiniteOperatorOutput``.
     """
-    scale = max(norm(z) * norm(w), scale_floor) + 1e-300
     raw = np.dot(z, w) if complex_symmetric else np.vdot(z, w)
+    if 0.0 <= raw.real < math.inf and abs(raw.imag) <= 1e-8 * scale_floor:
+        return math.sqrt(raw.real)
+    if not (math.isfinite(raw.real) and math.isfinite(raw.imag)):
+        raise NonFiniteOperatorOutput("preconditioner output contains NaN/Inf")
+    scale = max(norm(z) * norm(w), scale_floor) + 1e-300
     if raw.real < -1e-12 * scale or abs(raw.imag) > 1e-8 * scale:
         raise NotPositiveSemidefinite(
             f"<z, M z> = {raw:.3e} is negative beyond roundoff scale")
@@ -225,6 +236,15 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     A plain Hermitian solve runs in float64 when ``working_vector`` says so;
     its scalars are real anyway, and its reported vectors and trace are
     complex128 either way.
+
+    On the Hermitian path the scalars are Python floats: float arithmetic
+    and ``math.sqrt`` round exactly as numpy float64 does, so results are
+    bitwise those of numpy scalars at a fraction of the dispatch cost.  On
+    the Saunders path alpha stays the numpy complex128 of ``np.dot``:
+    Python ``complex`` divides and multiplies by other formulas than numpy,
+    which would change the results in their last bits.  Directions d_t are
+    built in place into three rotating buffers, in the order of operations
+    of the textbook expression.
     """
     cs = complex_symmetric
     if m is None and not cs:
@@ -284,13 +304,14 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     eps_next = 0.0
     x = zeros.copy()          # x_t, updated in place
     d1 = d2 = v_prev = zeros  # d_{t-1}, d_{t-2}, v_{t-1}: read-only
+    # d_t is built into the buffer that held d_{t-3}
+    dbufs = (np.empty_like(zeros), np.empty_like(zeros), np.empty_like(zeros))
+    target = opts.normal_residual_target
     buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
     if buffer is not None:
         buffer.push(v, None if m is None else u)
 
     def record(gamma2, c, s, tau, dvec):
-        if trace is None:
-            return
         trace.iterates.append(x.astype(np.complex128))
         if m is None:
             trace.residuals.append(rbrev.astype(np.complex128))
@@ -314,7 +335,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     t = 0
     for t in range(1, max_iter + 1):
         q = a.apply(u)
-        alpha = np.dot(u, q) if cs else np.vdot(u, q).real
+        alpha = np.dot(u, q) if cs else float(np.vdot(u, q).real)
         q -= alpha * v
         q -= beta * v_prev
         wq = None if m is None else m.apply(np.conj(q) if cs else q)
@@ -323,35 +344,41 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         beta_next = norm(q) if m is None else _beta_from(q, wq, cs, beta1 * beta1)
 
         # previous rotation applied to the new tridiagonal column
-        delta2 = (np.conj(c) if cs else c) * delta + s * alpha
+        delta2 = (c.conjugate() if cs else c) * delta + s * alpha
         gamma_pre = s * delta - c * alpha
         eps_cur = eps_next
         eps_next = s * beta_next
         delta = -c * beta_next
-        gamma2 = np.sqrt(abs(gamma_pre) ** 2 + beta_next**2)
+        gamma2 = math.sqrt(abs(gamma_pre) ** 2 + beta_next**2)
 
         # ||A r_{t-1}|| estimate (in the reduced space when preconditioned);
-        # zero exactly when least squares is solved
-        arnorm_prev = phi * np.hypot(abs(gamma_pre), abs(delta))
+        # zero exactly when least squares is solved.  abs(complex(a, b)) is
+        # the C library's hypot, as np.hypot is; math.hypot is not.
+        arnorm_prev = phi * abs(complex(abs(gamma_pre), abs(delta)))
         if t == 1:
             arnorm0 = arnorm_prev
-        ls_converged = (opts.normal_residual_target is not None and t > 1
-                        and arnorm_prev <= opts.normal_residual_target * arnorm0)
+        ls_converged = (target is not None and t > 1
+                        and arnorm_prev <= target * arnorm0)
 
         if gamma2 <= eps_z * (abs(alpha) + beta + beta_next):
             # Krylov/Saunders space exhausted with nonzero residual: the
             # iterate freezes one step back and the grade is t.
             g = t
             termination = TERM_GAMMA_ZERO
-            record(0.0, 0.0, 1.0, 0.0, d1)
+            if trace is not None:
+                record(0.0, 0.0, 1.0, 0.0, d1)
             break
 
         c = gamma_pre / gamma2
         s = beta_next / gamma2
-        cc = np.conj(c) if cs else c
+        cc = c.conjugate() if cs else c
         tau = cc * phi
         phi = s * phi
-        dvec = (u - delta2 * d1 - eps_cur * d2) / gamma2
+        # d_t = (u_t - delta2 d_{t-1} - eps_t d_{t-2}) / gamma2, in place
+        dvec = dbufs[t % 3]
+        np.subtract(u, delta2 * d1, out=dvec)
+        dvec -= eps_cur * d2
+        dvec /= gamma2
         d2 = d1
         d1 = dvec
         x += tau * dvec
@@ -361,17 +388,20 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
             termination = TERM_BETA_ZERO
             rbrev = zeros.copy()
             rhat = rbrev if m is None else zeros.copy()
-            record(gamma2, c, s, tau, dvec)
+            if trace is not None:
+                record(gamma2, c, s, tau, dvec)
             break
 
-        v_next = q / beta_next
+        q /= beta_next        # q is v_{t+1} from here on
+        v_next = q
         u_next = partner(v_next, wq, beta_next)
         rbrev *= s * s
         rbrev -= (phi * cc) * v_next
         if m is not None:     # with no m, rhat is rbrev
             rhat *= s * s
             rhat -= (phi * cc) * (np.conj(u_next) if cs else u_next)
-        record(gamma2, c, s, tau, dvec)
+        if trace is not None:
+            record(gamma2, c, s, tau, dvec)
         if ls_converged:
             # the normal-equation residual has hit its target: the grade is
             # reached in floating point and further steps only compound

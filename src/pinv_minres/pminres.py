@@ -86,8 +86,11 @@ class Preconditioner:
 
     # -- operations ---------------------------------------------------
     def apply(self, v) -> np.ndarray:
+        """M v, never in memory of v: the recurrence divides v in place
+        after this product."""
         v = as_vector(v, self.dim)
-        return np.asarray(self._apply(v), dtype=np.complex128)
+        out = np.asarray(self._apply(v), dtype=np.complex128)
+        return out.copy() if np.may_share_memory(out, v) else out
 
     def matrix(self) -> np.ndarray:
         if self._mat is None:

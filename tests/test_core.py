@@ -5,7 +5,7 @@ from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                               CallableOperator, DenseOperator,
                               DimensionMismatch, GaussianBlurToeplitz,
                               KroneckerOperator, NonFiniteOperatorOutput,
-                              inner, probe_symmetry)
+                              as_vector, inner, norm, probe_symmetry)
 
 
 class TestApply:
@@ -136,3 +136,61 @@ class TestAdjointApply:
         z = z + z.T
         op = KroneckerOperator(z)
         assert np.allclose(op.matrix(), np.kron(z, z), atol=1e-13)
+
+
+class TestNormShortcut:
+    """``norm`` skips the ``np.linalg.norm`` dispatch for 1-D float64 and
+    complex128 arrays; its value must stay bitwise numpy's."""
+
+    def _vectors(self, rng):
+        xr = rng.standard_normal(37) * np.exp(rng.uniform(-20, 20, 37))
+        xc = xr + 1j * rng.standard_normal(37)
+        return {"float64": xr, "complex128": xc,
+                "float64[::2]": xr[::2], "complex128[::2]": xc[::2],
+                "complex128[::-1]": xc[::-1], "complex.real": xc.real,
+                "complex.imag": xc.imag, "empty": np.zeros(0),
+                "empty complex": np.zeros(0, dtype=complex)}
+
+    def test_bitwise_equal_to_numpy(self, rng):
+        for _ in range(20):
+            for name, x in self._vectors(rng).items():
+                got = norm(x)
+                assert type(got) is float, name
+                assert got == float(np.linalg.norm(x)), name
+
+    def test_fallback_inputs(self, rng):
+        m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        assert norm(m) == float(np.linalg.norm(m))
+        assert norm([3, 4]) == 5.0
+        x = rng.standard_normal(9).astype(np.float32)
+        assert norm(x) == float(np.linalg.norm(x))
+
+
+class TestAsVectorShortcut:
+    def test_exact_dtype_returned_as_is(self):
+        z = np.arange(4, dtype=np.complex128)
+        assert as_vector(z) is z
+        assert as_vector(z, 4) is z
+        assert as_vector(z, 4, real=True) is z
+        x = np.arange(4, dtype=np.float64)
+        assert as_vector(x, 4, real=True) is x
+
+    def test_other_inputs_converted(self):
+        x = np.arange(4, dtype=np.float64)
+        got = as_vector(x, 4)
+        assert got is not x and got.dtype == np.complex128
+        assert np.array_equal(got, x)
+        for v in ([0, 1, 2, 3], np.arange(4), np.arange(4, dtype=np.float32)):
+            got = as_vector(v, 4)
+            assert got.dtype == np.complex128 and np.array_equal(got, x)
+            got = as_vector(v, 4, real=True)
+            assert got.dtype == np.float64 and np.array_equal(got, x)
+
+    def test_shape_still_checked(self):
+        z = np.arange(4, dtype=np.complex128)
+        with pytest.raises(DimensionMismatch):
+            as_vector(z, 5)
+        with pytest.raises(DimensionMismatch):
+            as_vector(z.reshape(2, 2))
+        with pytest.raises(DimensionMismatch):
+            as_vector(np.arange(4.0).reshape(2, 2), 4, real=True)

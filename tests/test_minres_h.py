@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from pinv_minres.core import (HERMITIAN, SKEW_HERMITIAN, DenseOperator,
-                              DimensionMismatch)
+from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
+                              DenseOperator, DimensionMismatch,
+                              KroneckerOperator)
+from pinv_minres.minres_cs import solve_cs
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
                                   TERM_MAX_ITER, SolveOptions, lift, solve,
                                   solve_skew)
 from pinv_minres.oracle import pinv, verify_moore_penrose
-from pinv_minres.synthetic import (rand_hermitian, rand_skew_hermitian,
-                                   rng_for)
+from pinv_minres.pminres import Preconditioner, psolve_cs, psolve_h
+from pinv_minres.synthetic import (rand_hermitian, rand_matrix,
+                                   rand_skew_hermitian, rng_for)
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestSolve:
@@ -204,3 +209,65 @@ class TestSolveSkew:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
             solve_skew(DenseOperator(np.eye(2), HERMITIAN), [1.0, 0.0])
+
+
+def _buffer_solves(seed):
+    """One solve per path of the recurrence: plain (complex and float64),
+    skew, complex-symmetric and both preconditioned kinds."""
+    d, rank = 30, 22
+    rng = rng_for(seed)
+    b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    m = Preconditioner.from_economy(q[:, :26], rng.uniform(0.5, 2.0, 26))
+    ops = {kind: DenseOperator(rand_matrix(kind, d, rank, seed), kind)
+           for kind in (HERMITIAN, SKEW_HERMITIAN, COMPLEX_SYMMETRIC)}
+    z = rng.standard_normal((5, 5))
+    return {
+        "plain": lambda o: solve(ops[HERMITIAN], b, o),
+        "plain-float64": lambda o: solve(KroneckerOperator(z + z.T),
+                                         rng_for(seed).standard_normal(25), o),
+        "skew": lambda o: solve_skew(ops[SKEW_HERMITIAN], b, o),
+        "cs": lambda o: solve_cs(ops[COMPLEX_SYMMETRIC], b, o),
+        "psolve_h": lambda o: psolve_h(ops[HERMITIAN], m, b, o),
+        "psolve_cs": lambda o: psolve_cs(ops[COMPLEX_SYMMETRIC], m, b, o),
+    }
+
+
+class TestDirectionBuffers:
+    """The directions d_t are built in place into rotating buffers; neither
+    the trace nor the iterates may see one buffer twice."""
+
+    @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
+    def test_trace_does_not_change_the_solve(self, reorth):
+        for seed in (501, 502):
+            for name, run in _buffer_solves(seed).items():
+                bare = run(SolveOptions(reorthogonalize=reorth))
+                traced = run(SolveOptions(reorthogonalize=reorth,
+                                          record_trace=True))
+                for field in ("x", "r", "r_hat", "r_breve"):
+                    got, want = getattr(traced, field), getattr(bare, field)
+                    assert (got is None) == (want is None), (name, field)
+                    if got is not None:
+                        assert got.tobytes() == want.tobytes(), (name, field)
+                assert traced.phi == bare.phi, name
+                assert traced.iterations == bare.iterations, name
+
+    @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
+    def test_directions_match_iterate_steps(self, reorth):
+        opts = SolveOptions(reorthogonalize=reorth, record_trace=True)
+        for seed in (501, 502):
+            for name, run in _buffer_solves(seed).items():
+                tr = run(opts).trace
+                assert len(tr.directions) > 3, name
+                prev = np.zeros_like(tr.iterates[0])
+                for k, (x, tau, dvec) in enumerate(
+                        zip(tr.iterates, tr.taus, tr.directions)):
+                    if tau != 0:   # tau = 0 marks the frozen gamma_zero step
+                        # x_k - x_{k-1} cancels to about eps ||x_k||, which
+                        # a small late tau magnifies
+                        step = (x - prev) / tau
+                        tol = (1e-10 * np.linalg.norm(dvec) + 100 * EPS
+                               * np.linalg.norm(x) / abs(tau))
+                        assert np.linalg.norm(dvec - step) <= tol, (name, k)
+                    prev = x

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import rel_err
-from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
+from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator,
+                              NonFiniteOperatorOutput)
 from pinv_minres.minres_cs import solve_cs
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
                                   TERM_NULL_PRECONDITIONED_RHS, SolveOptions,
@@ -439,3 +442,76 @@ class TestPliftScale:
         # the reduced problem is inconsistent almost always, and the
         # unlifted iterate misses its pseudo-inverse solution
         assert lifted >= 30
+
+
+def _corrupted(m, bad_call, index, value):
+    """``m`` with entry ``index`` of its ``bad_call``-th output set to
+    ``value``; also returns the list of calls made."""
+    calls = []
+
+    def apply(v):
+        calls.append(len(calls) + 1)
+        out = m.apply(v)
+        if len(calls) == bad_call:
+            out[index] = value
+        return out
+    return Preconditioner(m.dim, apply), calls
+
+
+class TestNonFinitePreconditioner:
+    """A NaN/Inf in M z is raised at the apply that made it, on both
+    preconditioned kinds, never returned or blamed on the operator."""
+
+    @staticmethod
+    def _problem(kind, seed=321):
+        d = 12
+        a = (rand_hermitian(d, 9, seed) if kind == HERMITIAN
+             else rand_complex_symmetric(d, 9, seed))
+        rng = rng_for(seed)
+        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return (DenseOperator(a, kind), b,
+                psolve_h if kind == HERMITIAN else psolve_cs)
+
+    @pytest.mark.parametrize("kind", [HERMITIAN, COMPLEX_SYMMETRIC])
+    @pytest.mark.parametrize("value", [np.nan, complex(0.5, np.nan), np.inf],
+                             ids=["nan", "nan-imag", "inf"])
+    @pytest.mark.parametrize("bad_call", [1, 2, 3, 6])
+    @pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
+    def test_raised_at_the_bad_apply(self, kind, value, bad_call, capped):
+        op, b, psolve = self._problem(kind)
+        m, calls = _corrupted(random_economy_preconditioner(12, 10, seed=322),
+                              bad_call, 4, value)
+        # the bad apply is the last one a capped solve makes
+        opts = SolveOptions(max_iterations=max(bad_call - 1, 1) if capped else None)
+        with warnings.catch_warnings():
+            # nothing computes with the NaN/Inf beyond the pairing that finds
+            # it; only np.dot itself warns, on the Inf * 0 products there
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "invalid value encountered in dot",
+                                    RuntimeWarning)
+            with pytest.raises(NonFiniteOperatorOutput, match="preconditioner"):
+                psolve(op, m, b, opts)
+        assert len(calls) == bad_call
+
+    @pytest.mark.parametrize("kind", [HERMITIAN, COMPLEX_SYMMETRIC])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in dot")
+    def test_inf_where_z_is_zero(self, kind):
+        # <b, M b> pairs the Inf with a zero entry of b: 0 * Inf is NaN
+        op, b, psolve = self._problem(kind)
+        b[4] = 0.0
+        m, calls = _corrupted(random_economy_preconditioner(12, 10, seed=322),
+                              1, 4, np.inf)
+        with pytest.raises(NonFiniteOperatorOutput, match="preconditioner"):
+            psolve(op, m, b, SolveOptions())
+        assert calls == [1]
+
+    def test_preconditioner_returning_its_input(self):
+        # the recurrence divides its vector in place after M is applied;
+        # an M that hands back its input must not see that division
+        op, b, _ = self._problem(HERMITIAN)
+        for reorth in (False, True):
+            opts = SolveOptions(reorthogonalize=reorth)
+            same = psolve_h(op, Preconditioner(12, lambda v: v), b, opts)
+            ref = psolve_h(op, Preconditioner.identity(12), b, opts)
+            assert same.termination == ref.termination
+            assert same.x.tobytes() == ref.x.tobytes()
