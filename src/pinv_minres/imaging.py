@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import band_tiles, kron_apply
+
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01**2
@@ -161,22 +163,16 @@ def _gaussian_window() -> np.ndarray:
     return g / g.sum()
 
 
-def _convolve_rows(img: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``np.convolve(row, g, "valid")`` for every row of ``img``, as one
-    convolution of the flattened rows: the outputs whose window straddles
-    two rows are dropped."""
-    n0, n1 = img.shape
-    flat = np.convolve(img.ravel(), g, "valid")
-    out = np.empty(n0 * n1)
-    out[:flat.size] = flat
-    return out.reshape(n0, n1)[:, :n1 - g.size + 1]
-
-
 def _filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # separable window, 'valid' boundary as in the reference SSIM: rows,
-    # then columns (as the rows of the transpose)
-    rows = _convolve_rows(img, g)
-    return _convolve_rows(np.ascontiguousarray(rows.T), g).T
+    # separable window, 'valid' boundary as in the reference SSIM: G X G^T,
+    # with G the banded (n - w + 1) x n correlation matrix of the flipped
+    # window, so the product skips G's zeros (``band_tiles``)
+    n = img.shape[0]
+    m = n - g.size + 1
+    rows = np.arange(m)[:, None]
+    gm = np.zeros((m, n))
+    gm[rows, rows + np.arange(g.size)] = g[::-1]
+    return kron_apply(gm, img.reshape(-1), band_tiles(gm)).reshape(m, m)
 
 
 def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
-                   CallableOperator, LinearOperator, NonFiniteOperatorOutput,
-                   as_vector, norm, working_vector)
+                   LinearOperator, NonFiniteOperatorOutput, as_vector, norm,
+                   working_vector)
 
 TERM_BETA_ZERO = "beta_zero"
 TERM_GAMMA_ZERO = "gamma_zero"
@@ -129,6 +129,20 @@ def solve(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport
     return _minres(a, b, opts or SolveOptions())
 
 
+class _TimesI(LinearOperator):
+    """iA for a skew-Hermitian A, a Hermitian operator.  Each product is one
+    ``a.apply``, which makes the checks, scaled by i in place."""
+
+    def __init__(self, a: LinearOperator):
+        super().__init__(a.dim, HERMITIAN)
+        self._a = a
+
+    def apply(self, v) -> np.ndarray:
+        out = self._a.apply(v)
+        out *= 1j
+        return out
+
+
 def solve_skew(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
     """MINRES for a skew-Hermitian system, run on (iA, ib).
 
@@ -137,8 +151,7 @@ def solve_skew(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveR
     """
     if a.kind != SKEW_HERMITIAN:
         raise ValueError(f"solve_skew expects a skew-hermitian operator, got {a.kind!r}")
-    ia = CallableOperator(a.dim, HERMITIAN, lambda v: 1j * a.apply(v))
-    report = _minres(ia, 1j * as_vector(b, a.dim), opts or SolveOptions())
+    report = _minres(_TimesI(a), 1j * as_vector(b, a.dim), opts or SolveOptions())
     report.kind = SKEW_HERMITIAN
     return report
 
