@@ -3,7 +3,8 @@
 Subcommands: ``synthetic`` (lifted-iterate recovery), ``precon-sweep``
 (per-rank error analysis), ``npc`` (curvature monitor over the four-way
 preconditioner suite), ``equiv`` (preconditioned vs. reduced solve), and
-``deblur`` (Kronecker Gaussian-blur pipeline).
+``deblur`` (a shell over the Kronecker Gaussian-blur experiment in
+``imaging``: it writes the images, the CSV and the PSNR/SSIM table).
 
 All runs are deterministic given --seed and write versioned CSVs whose
 header carries the fully resolved configuration.  With --assert the exit
@@ -22,17 +23,16 @@ import time
 
 import numpy as np
 
-from .baselines import lsqr, tsvd_solve_kronecker
-from .core import (COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator,
-                   GaussianBlurToeplitz, KroneckerOperator)
-from .imaging import (ImagePlane, add_noise, psnr, read_image, ssim,
-                      phantom, write_image)
+from .core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
+from .imaging import (DEBLUR_SOLVERS, SSIM_WINDOW, ImagePlane, deblur_channel,
+                      deblur_problem, phantom, psnr, read_image, ssim,
+                      write_image)
 from .minres_cs import lift_cs, solve_cs
 from .minres_h import SolveOptions, lift, solve
 from .npc_monitor import attach, check_monotonicity, verify_identities
 from .oracle import pinv
-from .pminres import (DenseSubOperator, KroneckerSubOperator, Preconditioner,
-                      psolve_cs, psolve_h, sublift, subsolve)
+from .pminres import (DenseSubOperator, Preconditioner, psolve_cs, psolve_h,
+                      subsolve)
 from .precon_factory import (RankFamilySpec, make_npc_matrix, make_npc_suite,
                              make_rank_family, run_error_sweep)
 from .synthetic import rand_matrix, rng_for
@@ -295,115 +295,63 @@ def cmd_equiv(args) -> int:
 
 # ------------------------------------------------------------------- deblur
 
-def _solve_channel(op, z, bvec, bmat, iters, s1, s2, tsvd_pairs):
-    """Run every solver on one channel; returns {name: flat image vector}."""
-    out = {}
-    opts = SolveOptions(max_iterations=iters)
-    rep = solve(op, bvec, opts)
-    out["minres"] = rep.x
-    out["minres_lifted"] = lift(rep.x, rep.r)
-    out["lsqr"] = lsqr(op, bvec, iters).x
-    out["tsvd"] = tsvd_solve_kronecker(z, bmat, rank_pairs=tsvd_pairs).x
-    for name, s_op in (("s1", s1), ("s2", s2)):
-        sub = subsolve(op, s_op, bvec, opts, HERMITIAN)
-        out[name] = sub.x
-        out[f"{name}_lifted"] = sublift(sub, s_op)
-    return out
-
-
 def cmd_deblur(args) -> int:
     if args.full_scale:
         args.n, args.bandwidth, args.sigma_blur = 1024, 101, 9.0
-    n = args.n
-    if args.image:
-        original = read_image(args.image)
-        if original.size != n:
-            n = original.size
-    else:
-        original = phantom(n)
+    # SSIM's window needs at least SSIM_WINDOW pixels a side
+    if not args.image and args.n < SSIM_WINDOW:
+        raise ValueError(f"--n must be at least {SSIM_WINDOW}")
+    original = read_image(args.image) if args.image else phantom(args.n)
+    n = original.size
+    if n < SSIM_WINDOW:
+        raise ValueError(f"the image size must be at least {SSIM_WINDOW}")
     if args.bandwidth >= 2 * n:
         raise ValueError("bandwidth too large for the image size")
-    zop = GaussianBlurToeplitz(n, args.bandwidth, args.sigma_blur,
-                               normalize=args.normalize_blur)
-    z = zop.z
-    op = KroneckerOperator(z)
-
-    channels = original.channels
-    # ImagePlane drops the channel axis of a one-channel stack
-    blurred_plane = ImagePlane(np.stack([z @ original.channel(k) @ z.T
-                                         for k in range(channels)], axis=-1))
-    noisy_plane = add_noise(blurred_plane, args.sigma_noise, args.seed)
-
-    r1 = r2 = args.rank_side
-    rng = rng_for(args.seed + 1)
-    chat = rng.standard_normal((n, n))
-    q1, _ = np.linalg.qr(z @ chat)
-    q2, _ = np.linalg.qr(chat)
-    sig = np.linspace(1.0, 2.0, r1)
-    s1 = KroneckerSubOperator(q1[:, :r1] * sig)
-    s2 = KroneckerSubOperator(q2[:, :r2] * sig)
-    tsvd_pairs = r1 * r1
-
-    recon: dict[str, list[np.ndarray]] = {}
-    timings: dict[str, float] = {}
-    for k in range(channels):
-        bmat = noisy_plane.channel(k)
-        bvec = bmat.reshape(-1)
-        t0 = time.perf_counter()
-        per = _solve_channel(op, z, bvec, bmat, args.iters, s1, s2, tsvd_pairs)
-        for name, x in per.items():
-            recon.setdefault(name, []).append(
-                np.clip(x.real.reshape(n, n), 0.0, 1.0))
-        timings["all"] = timings.get("all", 0.0) + time.perf_counter() - t0
-
-    planes = {name: ImagePlane(np.stack(chans, axis=-1))
-              for name, chans in recon.items()}
-
+    problem = deblur_problem(original, args.bandwidth, args.sigma_blur,
+                             args.sigma_noise, args.rank_side, args.seed)
+    recon = {name: [] for name in DEBLUR_SOLVERS}
+    t0 = time.perf_counter()
+    for k in range(original.channels):
+        for name, x in deblur_channel(problem, k, args.iters).items():
+            x = x if isinstance(x, np.ndarray) else x.x
+            recon[name].append(np.clip(x.real.reshape(n, n), 0.0, 1.0))
+    seconds = time.perf_counter() - t0 if args.timing else 0.0
+    planes = {"original": original, "blurred": problem["blurred"],
+              "noisy": problem["noisy"]}
+    planes.update((name, ImagePlane(np.stack(chans, axis=-1)))
+                  for name, chans in recon.items())
     os.makedirs(args.outdir, exist_ok=True)
-    write_image(original, os.path.join(args.outdir, "original.pgm" if channels == 1 else "original.ppm"))
-    ext = "pgm" if channels == 1 else "ppm"
-    write_image(blurred_plane, os.path.join(args.outdir, f"blurred.{ext}"))
-    write_image(noisy_plane, os.path.join(args.outdir, f"noisy.{ext}"))
+    ext = "pgm" if original.channels == 1 else "ppm"
     for name, plane in planes.items():
         write_image(plane, os.path.join(args.outdir, f"{name}.{ext}"))
 
-    ratio_full = 1.0
-    ratio_sub = (r1 * r1) / (n * n)
-    ratios = {"minres": ratio_full, "minres_lifted": ratio_full,
-              "lsqr": ratio_full, "tsvd": ratio_sub,
-              "s1": ratio_sub, "s1_lifted": ratio_sub,
-              "s2": ratio_sub, "s2_lifted": ratio_sub}
-    clipped_noisy = ImagePlane(np.clip(noisy_plane.samples, 0.0, 1.0))
-    metrics = {"blurred_noisy": (psnr(clipped_noisy, original),
-                                 ssim(clipped_noisy, original))}
-    rows = [("blurred_noisy", ratio_full, *metrics["blurred_noisy"], 0.0)]
-    seconds = timings.get("all", 0.0) if args.timing else 0.0
-    for name in ("minres", "minres_lifted", "lsqr", "tsvd",
-                 "s1", "s1_lifted", "s2", "s2_lifted"):
-        p = psnr(planes[name], original)
-        s = ssim(planes[name], original)
-        metrics[name] = (p, s)
-        rows.append((name, ratios[name], p, s, seconds))
+    sub_ratio = args.rank_side ** 2 / n ** 2
+    clipped_noisy = ImagePlane(np.clip(problem["noisy"].samples, 0.0, 1.0))
+    metrics = {name: (psnr(planes[name], original), ssim(planes[name], original))
+               for name in DEBLUR_SOLVERS}
+    metrics["blurred_noisy"] = (psnr(clipped_noisy, original),
+                                ssim(clipped_noisy, original))
+    rows = [("blurred_noisy", 1.0, *metrics["blurred_noisy"], 0.0)]
+    for name in DEBLUR_SOLVERS:
+        ratio = 1.0 if name in ("minres", "minres_lifted", "lsqr") else sub_ratio
+        rows.append((name, ratio, *metrics[name], seconds))
+    for name, _, p, s, _ in rows[1:] + rows[:1]:
         print(f"{name:>14s}: PSNR {p:7.3f} dB, SSIM {s:.4f}")
-    print(f"{'blurred_noisy':>14s}: PSNR {metrics['blurred_noisy'][0]:7.3f} dB, "
-          f"SSIM {metrics['blurred_noisy'][1]:.4f}")
 
     config = {"cmd": "deblur", "n": n, "bandwidth": args.bandwidth,
               "sigma_blur": args.sigma_blur, "sigma_noise": args.sigma_noise,
               "iters": args.iters, "rank_side": args.rank_side,
-              "seed": args.seed, "channels": channels,
+              "seed": args.seed, "channels": original.channels,
               "image": args.image or "phantom"}
     _write_csv(args.csv, config,
                ("solver", "rank_ratio", "psnr", "ssim", "seconds"), rows)
     if not args.assert_properties:
         return EXIT_OK
     failures = []
-    base = metrics["blurred_noisy"][0]
     if metrics["minres_lifted"][0] < metrics["minres"][0]:
         failures.append("PSNR(lifted minres) < PSNR(minres)")
-    for name in ("minres", "minres_lifted", "lsqr", "tsvd",
-                 "s1", "s1_lifted", "s2", "s2_lifted"):
-        if metrics[name][0] <= base:
+    for name in DEBLUR_SOLVERS:
+        if metrics[name][0] <= metrics["blurred_noisy"][0]:
             failures.append(f"PSNR({name}) <= PSNR(blurred input)")
     if metrics["s1"][0] <= metrics["s2"][0]:
         failures.append("range-aligned S1 does not outperform S2")
@@ -464,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--rank-side", type=int, default=16,
                    help="side rank r of the C factors (rank-ratio r^2/n^2)")
-    p.add_argument("--normalize-blur", action="store_true",
-                   help="row-normalize the blur matrix (the kernel formula "
-                        "itself is unnormalized)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--outdir", type=str, default="deblur-output")
     p.add_argument("--csv", type=str, default=None)
@@ -474,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record wall-clock seconds in the CSV (breaks "
                         "byte-for-byte reproducibility)")
     p.add_argument("--full-scale", action="store_true",
-                   help="full-size preset n=1024, bandwidth=101, sigma=9 "
-                        "(slow; not asserted)")
+                   help="full-size preset n=1024, bandwidth=101, sigma=9")
     p.add_argument("--assert", dest="assert_properties", action="store_true")
     p.set_defaults(fn=cmd_deblur)
     return parser

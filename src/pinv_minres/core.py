@@ -271,13 +271,12 @@ class GaussianBlurToeplitz(LinearOperator):
     """Banded symmetric Toeplitz matrix with Gaussian kernel entries.
 
     Entries are z_jk = exp(-(j-k)^2 / (2 sigma^2)) for |j-k| <= (w-1)/2 and
-    zero outside the band.  The matrix is not row-normalized; pass
-    ``normalize=True`` to divide each row by its sum.
+    zero outside the band.  The matrix is not row-normalized.
     """
 
     real = True
 
-    def __init__(self, n: int, bandwidth: int, sigma: float, normalize: bool = False):
+    def __init__(self, n: int, bandwidth: int, sigma: float):
         if bandwidth < 1 or bandwidth % 2 == 0:
             raise ValueError("bandwidth must be a positive odd integer")
         if sigma <= 0:
@@ -290,8 +289,6 @@ class GaussianBlurToeplitz(LinearOperator):
         offs = np.arange(n)
         z = np.exp(-((offs[:, None] - offs[None, :]) ** 2) / (2.0 * sigma * sigma))
         z[np.abs(offs[:, None] - offs[None, :]) > half] = 0.0
-        if normalize:
-            z /= z.sum(axis=1, keepdims=True)
         self.z = z
 
     def _apply(self, v):

@@ -1,5 +1,7 @@
-"""Image I/O (binary PGM/PPM), noise injection and quality metrics for the
-deblurring experiment.
+"""The deblurring experiment: image I/O (binary PGM/PPM), the phantom, noise
+injection, quality metrics, and the pipeline that builds the blurred problem
+(``deblur_problem``) and runs every solver on one channel
+(``deblur_channel``).
 
 Planes hold float64 samples on the [0, 1] signal range; values are clamped
 and quantized to 8 bits only when written.
@@ -12,12 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import baselines, core, minres_h, pminres, synthetic
 from .core import band_tiles, kron_apply
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
+
+# the solvers ``deblur_channel`` runs, in report order
+DEBLUR_SOLVERS = ("minres", "minres_lifted", "lsqr", "tsvd",
+                  "s1", "s1_lifted", "s2", "s2_lifted")
 
 
 @dataclass
@@ -223,3 +230,52 @@ def phantom(n: int) -> ImagePlane:
     band = yy > 0.8
     img[band] = stripes[band]
     return ImagePlane(np.clip(img, 0.0, 1.0))
+
+
+def deblur_problem(original: ImagePlane, bandwidth: int, sigma_blur: float,
+                   sigma_noise: float, rank_side: int, seed: int) -> dict:
+    """Blur every channel of ``original`` as B = Z X Z^T with the Gaussian
+    Toeplitz Z, add seeded noise, and draw the two Kronecker sub-factors:
+    S1 = C1 (x) C1 with C1 from range(Z C), S2 with C2 from C alone, for a
+    Gaussian n x n C and weights spaced on [1, 2] over ``rank_side`` columns.
+
+    Returns ``z``, ``op`` (Z (x) Z), ``blurred``, ``noisy`` and ``subs``
+    ({"s1": S1, "s2": S2})."""
+    n = original.size
+    if not 1 <= rank_side <= n:
+        raise ValueError(f"rank_side must be in 1..{n}")
+    z = core.GaussianBlurToeplitz(n, bandwidth, sigma_blur).z
+    # ImagePlane drops the channel axis of a one-channel stack
+    blurred = ImagePlane(np.stack([z @ original.channel(k) @ z.T
+                                   for k in range(original.channels)], axis=-1))
+    noisy = add_noise(blurred, sigma_noise, seed)
+    chat = synthetic.rng_for(seed + 1).standard_normal((n, n))
+    q1, _ = np.linalg.qr(z @ chat)
+    q2, _ = np.linalg.qr(chat)
+    sig = np.linspace(1.0, 2.0, rank_side)
+    subs = {"s1": pminres.KroneckerSubOperator(q1[:, :rank_side] * sig),
+            "s2": pminres.KroneckerSubOperator(q2[:, :rank_side] * sig)}
+    return {"z": z, "op": core.KroneckerOperator(z), "blurred": blurred,
+            "noisy": noisy, "subs": subs}
+
+
+def deblur_channel(problem: dict, k: int, iters: int) -> dict:
+    """Run every solver of ``DEBLUR_SOLVERS`` for ``iters`` iterations on
+    channel k of ``problem["noisy"]``: reports for minres, lsqr, tsvd (at
+    rank_side^2 pairs), s1 and s2, and lifted vectors for the ``_lifted``
+    names.  Solvers are called through their modules, so a patch on a
+    module name sees every call."""
+    z, op, subs = problem["z"], problem["op"], problem["subs"]
+    bmat = problem["noisy"].channel(k)
+    bvec = bmat.reshape(-1)
+    opts = minres_h.SolveOptions(max_iterations=iters)
+    rep = minres_h.solve(op, bvec, opts)
+    got = {"minres": rep, "minres_lifted": minres_h.lift(rep.x, rep.r),
+           "lsqr": baselines.lsqr(op, bvec, iters),
+           "tsvd": baselines.tsvd_solve_kronecker(
+               z, bmat, rank_pairs=subs["s1"].rc ** 2)}
+    for name, s_op in subs.items():
+        sub = pminres.subsolve(op, s_op, bvec, opts, core.HERMITIAN)
+        got[name] = sub
+        got[f"{name}_lifted"] = pminres.sublift(sub, s_op)
+    return got

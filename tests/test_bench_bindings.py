@@ -1,19 +1,26 @@
 """The benchmark binds library names by module and attribute
 (``bench/tracer.py``'s ``LAYERS``); a library change that removes or renames
-one of them breaks the benchmark's import or its tracer.  This test loads
-the tracer as it is and resolves every binding."""
+one of them breaks the benchmark's import or its tracer.  These tests load
+the tracer and the workloads as they are, resolve every binding, and check
+that the benchmark's copy of the deblur set-up still builds what the
+library's ``imaging.deblur_problem`` builds."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pinv_minres
+from pinv_minres.imaging import deblur_problem
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
     sys.modules[spec.name] = module
@@ -25,7 +32,7 @@ def _load_tracer():
 
 
 def test_tracer_layers_resolve():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     assert tracer.LAYERS
     for layer, owner, attr, _, _ in tracer.LAYERS:
         assert callable(getattr(owner, attr, None)), f"{layer}: {attr}"
@@ -34,3 +41,15 @@ def test_tracer_layers_resolve():
 def test_package_exports_resolve():
     for name in pinv_minres.__all__:
         assert hasattr(pinv_minres, name), name
+
+
+@pytest.mark.parametrize("seed", [5, 311])
+def test_bench_deblur_setup_matches_library(seed):
+    bench = _load("workloads").Deblur()
+    st = bench.setup(seed)
+    lib = deblur_problem(st["original"], bench.bandwidth, bench.sigma_blur,
+                         bench.sigma_noise, bench.rank_side, seed)
+    assert np.array_equal(st["z"], lib["z"])
+    assert np.array_equal(st["noisy"].samples, lib["noisy"].samples)
+    for name in ("s1", "s2"):
+        assert np.array_equal(st["subs"][name].c, lib["subs"][name].c)

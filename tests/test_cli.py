@@ -143,3 +143,31 @@ class TestDeblur:
                        "--outdir", str(out), "--csv", str(tmp_path / "u.csv"))
         assert code == EXIT_OK
         assert read_image(out / "minres.pgm").size == 24
+
+    def test_default_experiment_numbers(self, tmp_path, capsys, monkeypatch):
+        # the n = 64 defaults as the experiment stands; a change to the blur,
+        # the solvers or the metrics must change these lines on purpose
+        monkeypatch.delenv("PINV_MINRES_SEED", raising=False)
+        assert run_cli("deblur", "--outdir", str(tmp_path)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "        minres: PSNR  26.068 dB, SSIM 0.7284",
+            " minres_lifted: PSNR  26.936 dB, SSIM 0.8174",
+            "          lsqr: PSNR  23.794 dB, SSIM 0.7947",
+            "          tsvd: PSNR  16.182 dB, SSIM 0.5438",
+            "            s1: PSNR  13.978 dB, SSIM 0.2638",
+            "     s1_lifted: PSNR  13.977 dB, SSIM 0.2636",
+            "            s2: PSNR   5.533 dB, SSIM 0.0225",
+            "     s2_lifted: PSNR   5.487 dB, SSIM 0.0226",
+            " blurred_noisy: PSNR   3.977 dB, SSIM 0.2779",
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ("--rank-side", "0"),
+        ("--n", "32", "--rank-side", "65"),
+        ("--rank-side", "-3"),
+        ("--n", "8", "--rank-side", "4"),
+    ])
+    def test_out_of_range_arguments_exit_one(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli("deblur", *argv, "--outdir", str(out)) == EXIT_USAGE
+        assert not out.exists()

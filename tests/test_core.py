@@ -67,9 +67,14 @@ class TestGaussianBlur:
         band = z[np.abs(i - j) <= half]
         assert np.all((band > 0.0) & (band <= 1.0))
 
-    def test_normalize_flag(self):
-        op = GaussianBlurToeplitz(10, 5, 2.0, normalize=True)
-        assert np.allclose(op.z.sum(axis=1), 1.0)
+    @pytest.mark.parametrize("n, bandwidth, sigma, trials", [
+        (64, 9, 2.0, 10),        # the deblur command's defaults
+        (256, 21, 3.0, 10),      # the deblur-n256 benchmark
+        (1024, 101, 9.0, 2),     # deblur --full-scale
+    ])
+    def test_deblur_blurs_are_hermitian(self, n, bandwidth, sigma, trials):
+        z = GaussianBlurToeplitz(n, bandwidth, sigma).z
+        assert probe_symmetry(KroneckerOperator(z), trials=trials)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
