@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -210,10 +209,9 @@ def cmd_npc(args) -> int:
         report = psolve_h(op, m, b, opts)
         cert, monot = attach(report, op, m, b)
         det = cert.iteration if cert.detected else -1
-        for t in range(1, len(monot.m_values) + 1):
-            rows.append((name, t, monot.lambda_mins[t - 1],
-                         monot.m_values[t - 1], monot.xb_values[t - 1],
-                         monot.x_mdag_norms[t - 1], monot.phis[t - 1], det))
+        rows.extend((name, t, *row, det) for t, row in enumerate(zip(
+            monot.lambda_mins, monot.m_values, monot.xb_values,
+            monot.x_mdag_norms, report.trace.phis), 1))
         print(f"{name}: {report.termination} after {report.iterations} "
               f"iterations, NPC at t={det if det > 0 else 'none'}")
         if not args.assert_properties:
@@ -310,12 +308,10 @@ def cmd_deblur(args) -> int:
     problem = deblur_problem(original, args.bandwidth, args.sigma_blur,
                              args.sigma_noise, args.rank_side, args.seed)
     recon = {name: [] for name in DEBLUR_SOLVERS}
-    t0 = time.perf_counter()
     for k in range(original.channels):
         for name, x in deblur_channel(problem, k, args.iters).items():
             x = x if isinstance(x, np.ndarray) else x.x
             recon[name].append(np.clip(x.real.reshape(n, n), 0.0, 1.0))
-    seconds = time.perf_counter() - t0 if args.timing else 0.0
     planes = {"original": original, "blurred": problem["blurred"],
               "noisy": problem["noisy"]}
     planes.update((name, ImagePlane(np.stack(chans, axis=-1)))
@@ -331,11 +327,11 @@ def cmd_deblur(args) -> int:
                for name in DEBLUR_SOLVERS}
     metrics["blurred_noisy"] = (psnr(clipped_noisy, original),
                                 ssim(clipped_noisy, original))
-    rows = [("blurred_noisy", 1.0, *metrics["blurred_noisy"], 0.0)]
+    rows = [("blurred_noisy", 1.0, *metrics["blurred_noisy"])]
     for name in DEBLUR_SOLVERS:
         ratio = 1.0 if name in ("minres", "minres_lifted", "lsqr") else sub_ratio
-        rows.append((name, ratio, *metrics[name], seconds))
-    for name, _, p, s, _ in rows[1:] + rows[:1]:
+        rows.append((name, ratio, *metrics[name]))
+    for name, _, p, s in rows[1:] + rows[:1]:
         print(f"{name:>14s}: PSNR {p:7.3f} dB, SSIM {s:.4f}")
 
     config = {"cmd": "deblur", "n": n, "bandwidth": args.bandwidth,
@@ -344,7 +340,7 @@ def cmd_deblur(args) -> int:
               "seed": args.seed, "channels": original.channels,
               "image": args.image or "phantom"}
     _write_csv(args.csv, config,
-               ("solver", "rank_ratio", "psnr", "ssim", "seconds"), rows)
+               ("solver", "rank_ratio", "psnr", "ssim"), rows)
     if not args.assert_properties:
         return EXIT_OK
     failures = []
@@ -415,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--outdir", type=str, default="deblur-output")
     p.add_argument("--csv", type=str, default=None)
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock seconds in the CSV (breaks "
-                        "byte-for-byte reproducibility)")
     p.add_argument("--full-scale", action="store_true",
                    help="full-size preset n=1024, bandwidth=101, sigma=9")
     p.add_argument("--assert", dest="assert_properties", action="store_true")

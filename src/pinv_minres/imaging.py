@@ -170,25 +170,27 @@ def _gaussian_window() -> np.ndarray:
     return g / g.sum()
 
 
-def _filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # separable window, 'valid' boundary as in the reference SSIM: G X G^T,
-    # with G the banded (n - w + 1) x n correlation matrix of the flipped
-    # window, so the product skips G's zeros (``band_tiles``)
-    n = img.shape[0]
+def _window_filter(g: np.ndarray, n: int):
+    """The separable window's 'valid' filter of an n x n image, as in the
+    reference SSIM: X -> G X G^T, with G the banded (n - w + 1) x n
+    correlation matrix of the flipped window.  G and its tiles
+    (``band_tiles``, so the product skips G's zeros) are built once, for
+    every image the filter is applied to."""
     m = n - g.size + 1
     rows = np.arange(m)[:, None]
     gm = np.zeros((m, n))
     gm[rows, rows + np.arange(g.size)] = g[::-1]
-    return kron_apply(gm, img.reshape(-1), band_tiles(gm)).reshape(m, m)
+    tiles = band_tiles(gm)
+    return lambda img: kron_apply(gm, img.reshape(-1), tiles).reshape(m, m)
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:
-    g = _gaussian_window()
-    mu_x = _filter_valid(x, g)
-    mu_y = _filter_valid(y, g)
-    sxx = _filter_valid(x * x, g) - mu_x * mu_x
-    syy = _filter_valid(y * y, g) - mu_y * mu_y
-    sxy = _filter_valid(x * y, g) - mu_x * mu_y
+def _ssim_channel(x: np.ndarray, y: np.ndarray, filt) -> float:
+    # one image at a time, so only the moments still in use are held
+    mu_x = filt(x)
+    mu_y = filt(y)
+    sxx = filt(x * x) - mu_x * mu_x
+    syy = filt(y * y) - mu_y * mu_y
+    sxy = filt(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sxy + SSIM_C2)
     den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sxx + syy + SSIM_C2)
     return float(np.mean(num / den))
@@ -201,9 +203,8 @@ def ssim(x: ImagePlane, y: ImagePlane) -> float:
         raise ValueError("ssim needs images of identical shape")
     if x.size < SSIM_WINDOW:
         raise ValueError(f"ssim needs image size >= {SSIM_WINDOW}")
-    if x.channels == 1:
-        return _ssim_channel(x.samples, y.samples)
-    return float(np.mean([_ssim_channel(x.channel(k), y.channel(k))
+    filt = _window_filter(_gaussian_window(), x.size)
+    return float(np.mean([_ssim_channel(x.channel(k), y.channel(k), filt)
                           for k in range(x.channels)]))
 
 

@@ -40,9 +40,6 @@ class MonotonicityTrace:
     xb_values: list[float] = field(default_factory=list)      # <x_t, b>
     x_mdag_norms: list[float] = field(default_factory=list)   # ||x_t||_{M^+}
     lambda_mins: list[float] = field(default_factory=list)    # lambda_min(T_t)
-    phis: list[float] = field(default_factory=list)
-    alphas: list[float] = field(default_factory=list)         # diag of T
-    betas: list[float] = field(default_factory=list)          # offdiag of T
     detected_at: int | None = None
 
 
@@ -53,23 +50,11 @@ class IdentityViolation:
     magnitude: float
 
 
-def _tridiagonal(alphas, betas, t):
-    m = np.diag(np.asarray(alphas[:t], dtype=np.float64))
-    off = np.asarray(betas[: t - 1], dtype=np.float64)
-    if t > 1:
-        m += np.diag(off, 1) + np.diag(off, -1)
-    return m
-
-
-def _lambda_min(alphas, betas, t) -> float:
-    return float(np.linalg.eigvalsh(_tridiagonal(alphas, betas, t))[0])
-
-
 def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
            b) -> tuple[NpcCertificate, MonotonicityTrace]:
     """Post-hoc curvature monitor for a recorded preconditioned Hermitian
-    solve; returns the detection certificate and the monitored scalars up
-    to detection or termination."""
+    solve; returns the detection certificate and the monitored scalars of
+    every step t = 1..g, before and after a detection."""
     if report.kind != HERMITIAN or not report.preconditioned:
         raise ValueError("the curvature monitor applies to preconditioned "
                          "hermitian solves only")
@@ -79,57 +64,58 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     b = as_vector(b, a.dim)
     steps = len(trace.iterates)
 
+    alphas = np.real(trace.alphas[:steps])
+    betas = np.array(trace.betas[:steps])                  # beta_{t+1}
+    # T_g; T_t is its leading t x t block
+    tg = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    # the NPC test -c_{t-1} gamma_t <= 0 at every t, with c_0 = -1
+    c_prev = np.concatenate(([-1.0], np.real(trace.cs[:steps - 1])))
+    beta_prev = np.concatenate(([report.beta1 or 0.0], betas[:-1]))
+    npc = (-c_prev * np.real(trace.gammas_pre[:steps])
+           <= NPC_TOL * (np.abs(alphas) + betas + beta_prev))
+    detected_at = int(np.argmax(npc)) + 1 if npc.any() else None
+    monot = MonotonicityTrace(detected_at=detected_at, lambda_mins=[
+        float(np.linalg.eigvalsh(tg[:t, :t])[0]) for t in range(1, steps + 1)])
+
     mdag = m.pinv_matrix()
-    monot = MonotonicityTrace()
-    detected_at = None
-    for t in range(1, steps + 1):
-        idx = t - 1
-        alpha = trace.alphas[idx].real
-        monot.alphas.append(alpha)
-        if t >= 2:
-            monot.betas.append(trace.betas[idx - 1])
-        monot.lambda_mins.append(_lambda_min(monot.alphas, monot.betas, t))
-        monot.phis.append(trace.phis[idx])
-        x = trace.iterates[idx]
+    for x in trace.iterates:
         ax = a.apply(x)
         monot.m_values.append(0.5 * np.vdot(x, ax).real - np.vdot(b, x).real)
         monot.xb_values.append(np.vdot(x, b).real)
         monot.x_mdag_norms.append(float(np.sqrt(max(np.vdot(x, mdag @ x).real, 0.0))))
-        if detected_at is None:
-            c_prev = trace.cs[idx - 1].real if t >= 2 else -1.0
-            gamma_pre = trace.gammas_pre[idx].real
-            scale = abs(alpha) + trace.betas[idx] + (trace.betas[idx - 1] if t >= 2 else report.beta1 or 0.0)
-            if -c_prev * gamma_pre <= NPC_TOL * scale:
-                detected_at = t
-    monot.detected_at = detected_at
 
     if detected_at is None:
-        cert = NpcCertificate(
-            detected=False, iteration=None, curvature=None, direction=None,
-            lambda_min_at_detection=None,
-            lambda_min_final=monot.lambda_mins[-1])
-    else:
-        idx = detected_at - 1
-        rhat_prev = trace.rhats[idx - 1] if detected_at >= 2 else m.apply(b)
-        curvature = np.vdot(rhat_prev, a.apply(rhat_prev)).real
-        cert = NpcCertificate(
-            detected=True, iteration=detected_at, curvature=float(curvature),
-            direction=rhat_prev.copy(),
-            lambda_min_at_detection=monot.lambda_mins[idx],
-            lambda_min_final=monot.lambda_mins[-1])
-    return cert, monot
+        return NpcCertificate(False, None, None, None, None,
+                              monot.lambda_mins[-1]), monot
+    rhat_prev = trace.rhats[detected_at - 2] if detected_at >= 2 else m.apply(b)
+    curvature = float(np.vdot(rhat_prev, a.apply(rhat_prev)).real)
+    return NpcCertificate(True, detected_at, curvature, rhat_prev.copy(),
+                          monot.lambda_mins[detected_at - 1],
+                          monot.lambda_mins[-1]), monot
+
+
+def _norms(rows) -> np.ndarray:
+    return np.array([norm(v) for v in rows])
 
 
 def verify_identities(monot: MonotonicityTrace, report: SolveReport,
                       a: LinearOperator, m: Preconditioner,
                       b) -> list[IdentityViolation]:
     """Check the conserved quantities of the preconditioned Hermitian run
-    over the pre-detection prefix; violations are collected, not raised.
+    over the pre-detection prefix t = 1..p; violations are collected, not
+    raised, and listed in iteration order (within a step, in the order
+    below, pairs by ascending i or j).
 
     Orthogonality: <r_hat_t, A x_i> = 0 (i <= t) and <r_hat_i, A r_hat_t> = 0
     (i != t).  Curvature: <r_hat_{t-1}, A r_hat_{t-1}> = -phi_{t-1}^2 c_{t-1}
     gamma_t.  Energy: <r_hat_t, b> = phi_t^2.  Positivity (strictly pre-NPC):
     <tau_t d_t, r_{t-j}> > 0 and <x_t, b> - <x_t, A x_t> > 0.
+
+    The prefix is stacked once, as the rows x_1..x_p and r_hat_0..r_hat_p
+    and their products by A.  Each pair family is then one matrix product
+    read under a triangular mask: conj(R_hat) (A X)^T (i <= t),
+    (A R_hat) R_hat^H (i < t) and conj(tau D) [b, b - A X]^T (t - j >= 0);
+    the other checks are row-wise.
 
     Tolerances are ``IDENTITY_RTOL`` relative to the quantities compared
     (``STRICT_TOL`` for the sign of the strict inequalities), plus a
@@ -147,75 +133,71 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
         raise ValueError("verify_identities needs a recorded solve")
     b = as_vector(b, a.dim)
     steps = len(trace.iterates)
-    prefix = steps if monot.detected_at is None else monot.detected_at - 1
-    violations: list[IdentityViolation] = []
+    p = steps if monot.detected_at is None else monot.detected_at - 1
+    if p == 0:
+        return []
 
-    ax = [a.apply(x) for x in trace.iterates[:prefix]]
-    arhat = [a.apply(rh) for rh in trace.rhats[:prefix]]
-    residuals = [b - axi for axi in ax]          # true residuals r_t
-    beta1 = report.beta1 or norm(b)
-    rhat0 = m.apply(b)
-    arhat0 = a.apply(rhat0)
-    floor = a.dim * np.finfo(np.float64).eps * norm(rhat0)
-    n_ax = [norm(v) for v in ax]
-    n_rhat = [norm(v) for v in trace.rhats[:prefix]]
-    n_arhat = [norm(v) for v in arhat]
+    x = np.array(trace.iterates[:p])                    # x_1..x_p
+    ax = np.array([a.apply(v) for v in x])
+    rhat = np.array([m.apply(b)] + trace.rhats[:p])     # r_hat_0..r_hat_p
+    arhat = np.array([a.apply(v) for v in rhat])
+    n_ax, n_rhat, n_arhat = _norms(ax), _norms(rhat), _norms(arhat)
     nb = norm(b)
+    floor = a.dim * np.finfo(np.float64).eps * n_rhat[0]
+    rh, n_rh, n_arh = rhat[1:], n_rhat[1:], n_arhat[1:]
+    t = np.arange(1, p + 1)
+    # positivity holds strictly before the final iteration only
+    strict = t < steps
+    found: list[IdentityViolation] = []
 
-    for t in range(1, prefix + 1):
-        idx = t - 1
-        rhat = trace.rhats[idx]
-        nrhat = n_rhat[idx]
-        # <r_hat_t, A x_i> = 0 for i <= t
-        for i in range(1, t + 1):
-            val = abs(np.vdot(rhat, ax[i - 1]))
-            tol = (IDENTITY_RTOL * nrhat + floor) * n_ax[i - 1]
-            if val > tol:
-                violations.append(IdentityViolation(t, f"rhat_A_x[i={i}]", val))
-        # <r_hat_i, A r_hat_t> = 0 for i != t
-        for i in range(1, t):
-            val = abs(np.vdot(trace.rhats[i - 1], arhat[idx]))
-            tol = (IDENTITY_RTOL * n_rhat[i - 1] * n_arhat[idx]
-                   + floor * (n_arhat[i - 1] + n_arhat[idx]))
-            if val > tol:
-                violations.append(IdentityViolation(t, f"rhat_A_rhat[i={i}]", val))
-        # curvature identity at step t (r_hat_0 = w_1 = M b)
-        rhat_prev = trace.rhats[idx - 1] if t >= 2 else rhat0
-        arhat_prev = arhat[idx - 1] if t >= 2 else arhat0
-        phi_prev = trace.phis[idx - 1] if t >= 2 else beta1
-        c_prev = trace.cs[idx - 1].real if t >= 2 else -1.0
-        lhs = np.vdot(rhat_prev, arhat_prev).real
-        rhs = -(phi_prev**2) * c_prev * trace.gammas_pre[idx].real
-        tol = (IDENTITY_RTOL * (abs(lhs) + abs(rhs) + phi_prev**2)
-               + 2 * floor * norm(arhat_prev))
-        if abs(lhs - rhs) > tol:
-            violations.append(IdentityViolation(t, "curvature_identity",
-                                                abs(lhs - rhs)))
-        # <r_hat_t, b> = phi_t^2
-        val = np.vdot(rhat, b)
-        phi2 = trace.phis[idx] ** 2
-        tol = IDENTITY_RTOL * (phi2 + nrhat * nb) + floor * nb
-        if abs(val - phi2) > tol:
-            violations.append(IdentityViolation(t, "rhat_b_phi2", abs(val - phi2)))
-        # strict positivity holds for t strictly before the final iteration
-        if t >= steps:
-            continue
-        # <tau_t d_t, r_{t-j}> > 0 for 0 <= j <= t (r_0 = b)
-        td = trace.taus[idx] * trace.directions[idx]
-        for j in range(0, t + 1):
-            r_prev = b if j == t else residuals[t - j - 1]
-            val = np.vdot(td, r_prev)
-            scale = norm(td) * norm(r_prev) + 1e-30
-            if (val.real < -STRICT_TOL * scale
-                    or abs(val.imag) > IDENTITY_RTOL * scale):
-                violations.append(IdentityViolation(t, f"tau_d_r[j={j}]", -val.real))
-        # <x_t, b> - <x_t, A x_t> > 0
-        x = trace.iterates[idx]
-        val = np.vdot(x, b).real - np.vdot(x, ax[idx]).real
-        scale = norm(x) * (norm(b) + norm(ax[idx])) + 1e-30
-        if val < -STRICT_TOL * scale:
-            violations.append(IdentityViolation(t, "x_b_minus_x_A_x", -val))
-    return violations
+    def flag(bad, mags, name):
+        """Collect the True entries of ``bad``, a vector over t or a grid
+        over (t, k) whose column k names the pair by ``name(k)``."""
+        for pos in zip(*np.nonzero(bad)):
+            label = name(int(pos[1])) if len(pos) > 1 else name
+            found.append(IdentityViolation(int(pos[0]) + 1, label,
+                                           float(mags[pos])))
+
+    # <r_hat_t, A x_i> = 0 for i <= t, at [t-1, i-1]
+    val = np.abs(rh.conj() @ ax.T)
+    tol = (IDENTITY_RTOL * n_rh[:, None] + floor) * n_ax
+    flag(np.tril(val > tol), val, lambda k: f"rhat_A_x[i={k + 1}]")
+    # <r_hat_i, A r_hat_t> = 0 for i < t, at [t-1, i-1]
+    val = np.abs(arhat[1:] @ rh.conj().T)
+    tol = (IDENTITY_RTOL * n_rh * n_arh[:, None]
+           + floor * (n_arh + n_arh[:, None]))
+    flag(np.tril(val > tol, -1), val, lambda k: f"rhat_A_rhat[i={k + 1}]")
+    # curvature identity at step t (r_hat_0 = w_1 = M b)
+    phi_prev = np.array([report.beta1 or nb] + trace.phis[:p - 1])
+    c_prev = np.concatenate(([-1.0], np.real(trace.cs[:p - 1])))
+    lhs = np.einsum("ij,ij->i", rhat[:-1].conj(), arhat[:-1]).real
+    rhs = -(phi_prev**2) * c_prev * np.real(trace.gammas_pre[:p])
+    tol = (IDENTITY_RTOL * (np.abs(lhs) + np.abs(rhs) + phi_prev**2)
+           + 2 * floor * n_arhat[:-1])
+    err = np.abs(lhs - rhs)
+    flag(err > tol, err, "curvature_identity")
+    # <r_hat_t, b> = phi_t^2
+    phi2 = np.array(trace.phis[:p]) ** 2
+    err = np.abs(rh.conj() @ b - phi2)
+    flag(err > IDENTITY_RTOL * (phi2 + n_rh * nb) + floor * nb, err,
+         "rhat_b_phi2")
+    # <tau_t d_t, r_{t-j}> > 0 for 0 <= j <= t, with r_0 = b: column k of
+    # (tau D)^H [b, b - A X] is r_k, read at [t-1, j] through k = t - j
+    res = np.vstack([b, b - ax])                         # r_0..r_p
+    td = np.array(trace.taus[:p])[:, None] * np.array(trace.directions[:p])
+    k = t[:, None] - np.arange(p + 1)                    # wraps where j > t
+    val = (td.conj() @ res.T)[t[:, None] - 1, k]
+    scale = _norms(td)[:, None] * _norms(res)[k] + 1e-30
+    bad = ((val.real < -STRICT_TOL * scale)
+           | (np.abs(val.imag) > IDENTITY_RTOL * scale))
+    flag(np.tril(bad, 1) & strict[:, None], -val.real,
+         lambda j: f"tau_d_r[j={j}]")
+    # <x_t, b> - <x_t, A x_t> > 0
+    val = (x.conj() @ b).real - np.einsum("ij,ij->i", x.conj(), ax).real
+    scale = _norms(x) * (nb + n_ax) + 1e-30
+    flag((val < -STRICT_TOL * scale) & strict, -val, "x_b_minus_x_A_x")
+    found.sort(key=lambda v: v.iteration)
+    return found
 
 
 def check_monotonicity(monot: MonotonicityTrace) -> list[IdentityViolation]:

@@ -53,3 +53,13 @@ def test_bench_deblur_setup_matches_library(seed):
     assert np.array_equal(st["noisy"].samples, lib["noisy"].samples)
     for name in ("s1", "s2"):
         assert np.array_equal(st["subs"][name].c, lib["subs"][name].c)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bench_curvature_checks_pass(seed):
+    # the benchmark's curvature operations, as dense-batch runs them
+    bench = _load("workloads").Curvature()
+    cases = bench.setup(seed)
+    ops = bench.check(cases, bench.reference(cases), bench.run_pass(cases))
+    assert ops
+    assert [(name, detail) for name, ok, detail in ops if not ok] == []

@@ -109,7 +109,7 @@ class TestDeblur:
             assert path.exists()
             assert read_image(path).size == 32
         lines = csv.read_text().splitlines()
-        assert lines[2] == "solver,rank_ratio,psnr,ssim,seconds"
+        assert lines[2] == "solver,rank_ratio,psnr,ssim"
         assert len(lines) == 3 + 9
 
     def test_deterministic_csv(self, tmp_path):

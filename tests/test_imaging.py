@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pinv_minres.imaging import (ImageFormatError, ImagePlane,
-                                 _filter_valid, _gaussian_window, add_noise,
+                                 _gaussian_window, _window_filter, add_noise,
                                  phantom, psnr, read_image, ssim,
                                  write_image)
 
@@ -175,6 +175,6 @@ class TestSsimFilter:
              else rng.uniform(0.0, 1.0, 11))
         rows = np.apply_along_axis(np.convolve, 1, img, g, "valid")
         ref = np.apply_along_axis(np.convolve, 0, rows, g, "valid")
-        got = _filter_valid(img, g)
+        got = _window_filter(g, n)(img)
         assert got.shape == ref.shape == (n - 10, n - 10)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -195,3 +195,53 @@ class TestIdentityRoundoffFloor:
                  for v in verify_identities(monot, broken, op, m, b)
                  if v.iteration == t}
         assert {"rhat_A_x", "rhat_b_phi2"} <= names
+
+
+class TestIdentityNames:
+    # the documented order of the checks within one step
+    ORDER = ("rhat_A_x", "rhat_A_rhat", "curvature_identity", "rhat_b_phi2",
+             "tau_d_r", "x_b_minus_x_A_x")
+
+    @pytest.fixture(scope="class")
+    def m4_run(self):
+        a, u_plus, u_minus = make_npc_matrix(seed=12)
+        m = make_npc_suite(a, u_plus, u_minus, seed=13)["M4"]
+        b = np.ones(20, dtype=complex)
+        op, rep, cert, monot = run_monitored(a, m, b)
+        return op, m, b, rep, monot
+
+    @staticmethod
+    def _corrupt(trace, name, t, b):
+        if name == "curvature_identity":
+            trace.gammas_pre[t - 1] *= 2.0
+        elif name == "tau_d_r":
+            trace.directions[t - 1] = -trace.directions[t - 1]
+        elif name == "x_b_minus_x_A_x":
+            trace.iterates[t - 1] = -trace.iterates[t - 1]
+        else:
+            # move r_hat_t by one millionth of its length, along r_hat_{t-1}
+            # for rhat_A_rhat and along b for rhat_b_phi2
+            rhat = trace.rhats[t - 1]
+            along = trace.rhats[t - 2] if name == "rhat_A_rhat" else b
+            trace.rhats[t - 1] = rhat + 1e-6 * (np.linalg.norm(rhat)
+                                                / np.linalg.norm(along)) * along
+
+    @pytest.mark.parametrize("t", [2, 5, 8])
+    @pytest.mark.parametrize("name", ["curvature_identity", "tau_d_r",
+                                      "x_b_minus_x_A_x", "rhat_A_rhat",
+                                      "rhat_b_phi2"])
+    def test_corruption_is_flagged_by_name(self, m4_run, name, t):
+        op, m, b, rep, monot = m4_run
+        assert verify_identities(monot, rep, op, m, b) == []
+        broken = copy.deepcopy(rep)
+        self._corrupt(broken.trace, name, t, b)
+        violations = verify_identities(monot, broken, op, m, b)
+        assert name in {v.name.split("[")[0] for v in violations
+                        if v.iteration == t}
+        # iteration order; within a step, check order, then i or j
+        keys = []
+        for v in violations:
+            family, _, pair = v.name.partition("[")
+            keys.append((v.iteration, self.ORDER.index(family),
+                         int(pair[2:-1]) if pair else 0))
+        assert keys == sorted(keys)
