@@ -4,12 +4,14 @@ Subcommands: ``synthetic`` (lifted-iterate recovery), ``precon-sweep``
 (per-rank error analysis), ``npc`` (curvature monitor over the four-way
 preconditioner suite), ``equiv`` (preconditioned vs. reduced solve), and
 ``deblur`` (a shell over the Kronecker Gaussian-blur experiment in
-``imaging``: it writes the images, the CSV and the PSNR/SSIM table).
+``imaging``: it writes the images and the PSNR/SSIM table).
 
-All runs are deterministic given --seed and write versioned CSVs whose
-header carries the fully resolved configuration.  With --assert the exit
-code is 0 when all checked properties hold, 2 on a property failure, and 1
-on usage or I/O errors.
+Each command returns ``(config, columns, rows, failures)``: the resolved
+configuration, its table and the checked properties that fail.  ``main``
+alone acts on them: with --csv it writes a versioned CSV whose header
+carries the configuration; with --assert it prints the failures, or that
+all properties hold, and exits 2 or 0.  Without --assert it exits 0, and
+usage or I/O errors exit 1.  All runs are deterministic given --seed.
 """
 
 from __future__ import annotations
@@ -54,38 +56,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
+    if isinstance(value, float):  # numpy float64 included
         if math.isinf(value):
             return "inf"
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, bool):
         return "1" if value else "0"
     return str(value)
 
 
-def _write_csv(path: str | None, config: dict, columns, rows) -> None:
+def _write_csv(path: str, config: dict, columns, rows) -> None:
     lines = [CSV_SCHEMA,
              "# config: " + json.dumps(config, sort_keys=True),
              ",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _default_seed() -> int:
     env = os.environ.get(ENV_SEED)
     return int(env) if env else 0
-
-
-def _report_failures(failures: list[str]) -> int:
-    if failures:
-        for msg in failures:
-            print(f"FAIL {msg}")
-        return EXIT_PROPERTY
-    print("all asserted properties hold")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- synthetic
@@ -97,13 +88,14 @@ def _validate_dims(args, d_max):
         raise ValueError("--rank must be in 1..d")
 
 
-def cmd_synthetic(args) -> int:
+def cmd_synthetic(args):
     _validate_dims(args, 512)
     kind = KIND_ALIASES[args.kind]
     a = rand_matrix(kind, args.d, args.rank, args.seed)
     b = np.ones(args.d, dtype=np.complex128)
     op = DenseOperator(a, kind)
-    opts = SolveOptions(max_iterations=args.max_iter or 4 * args.d,
+    opts = SolveOptions(max_iterations=(4 * args.d if args.max_iter is None
+                                        else args.max_iter),
                         record_trace=True, reorthogonalize=args.reorth)
     report = solve_cs(op, b, opts) if kind == COMPLEX_SYMMETRIC else solve(op, b, opts)
     xd = pinv(a) @ b
@@ -118,23 +110,20 @@ def cmd_synthetic(args) -> int:
     config = {"cmd": "synthetic", "d": args.d, "rank": args.rank,
               "kind": args.kind, "seed": args.seed, "reorth": args.reorth,
               "max_iter": opts.max_iterations}
-    _write_csv(args.csv, config, ("t", "err_plain", "err_lifted", "kind"), rows)
     print(f"synthetic {args.kind}: terminated {report.termination} after "
           f"{report.iterations} iterations; final plain error "
           f"{rows[-1][1]:.3e}, lifted {rows[-1][2]:.3e}")
-    if not args.assert_properties:
-        return EXIT_OK
     failures = []
     if rows[-1][2] > 1e-8:
         failures.append(f"final lifted error {rows[-1][2]:.3e} > 1e-8")
     if args.rank < args.d and rows[-1][1] <= 1e-2:
         failures.append(f"final plain error {rows[-1][1]:.3e} not > 1e-2")
-    return _report_failures(failures)
+    return config, ("t", "err_plain", "err_lifted", "kind"), rows, failures
 
 
 # ------------------------------------------------------------- precon sweep
 
-def cmd_precon_sweep(args) -> int:
+def cmd_precon_sweep(args):
     _validate_dims(args, 512)
     kinds = ([HERMITIAN, COMPLEX_SYMMETRIC] if args.kind == "both"
              else [KIND_ALIASES[args.kind]])
@@ -157,8 +146,6 @@ def cmd_precon_sweep(args) -> int:
             for row in sweep:
                 rows.append((family_name, kind, row.rank, row.e_x, row.e_x_hat,
                              row.e_r, row.e_p, row.norm_m_r, row.norm_am_r))
-            if not args.assert_properties:
-                continue
             mr_scale = weight_scale * b_norm
             amr_scale = a_norm * mr_scale
             for row in sweep:
@@ -179,17 +166,14 @@ def cmd_precon_sweep(args) -> int:
                                     "at some rank")
     config = {"cmd": "precon-sweep", "d": args.d, "rank": args.rank,
               "kind": args.kind, "seed": args.seed}
-    _write_csv(args.csv, config, columns, rows)
     print(f"precon-sweep: {len(rows)} rows"
           + (f" -> {args.csv}" if args.csv else ""))
-    if not args.assert_properties:
-        return EXIT_OK
-    return _report_failures(failures)
+    return config, columns, rows, failures
 
 
 # ---------------------------------------------------------------------- npc
 
-def cmd_npc(args) -> int:
+def cmd_npc(args):
     _validate_dims(args, 128)
     if not 0 < args.r_plus < args.rank:
         raise ValueError("--r-plus must be in 1..rank-1")
@@ -214,8 +198,6 @@ def cmd_npc(args) -> int:
             monot.x_mdag_norms, report.trace.phis), 1))
         print(f"{name}: {report.termination} after {report.iterations} "
               f"iterations, NPC at t={det if det > 0 else 'none'}")
-        if not args.assert_properties:
-            continue
         if name == "M4":
             if cert.detected and cert.iteration < report.iterations:
                 failures.append(f"{name}: NPC before the final iteration "
@@ -231,19 +213,19 @@ def cmd_npc(args) -> int:
                             f" (magnitude {v.magnitude:.3e})")
     config = {"cmd": "npc", "d": args.d, "rank": args.rank,
               "r_plus": args.r_plus, "seed": args.seed}
-    _write_csv(args.csv, config, columns, rows)
-    if not args.assert_properties:
-        return EXIT_OK
-    return _report_failures(failures)
+    return config, columns, rows, failures
 
 
 # -------------------------------------------------------------------- equiv
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args):
     _validate_dims(args, 512)
     if not 1 <= args.rank_m <= args.d:
         raise ValueError("--rank-m must be in 1..d")
+    if args.pairs < 1:
+        raise ValueError("--pairs must be at least 1")
     kind = KIND_ALIASES[args.kind]
+    rows = []
     failures = []
     for pair in range(args.pairs):
         seed = args.seed + 97 * pair
@@ -282,18 +264,19 @@ def cmd_equiv(args) -> int:
         if divergent is not None:
             failures.append(f"pair {pair}: {divergent[0]} diverges at "
                             f"t={divergent[1]} (rel {divergent[2]:.3e})")
+        rows.append((pair, worst))
         print(f"pair {pair}: worst trace deviation {worst:.3e}")
-    if failures:
-        for msg in failures:
-            print(f"FAIL {msg}")
-        return EXIT_PROPERTY
-    print(f"equiv: {args.pairs} pairs agree to 1e-10")
-    return EXIT_OK
+    if not failures:
+        print(f"equiv: {args.pairs} pairs agree to 1e-10")
+    config = {"cmd": "equiv", "d": args.d, "rank": args.rank,
+              "kind": args.kind, "rank_m": args.rank_m, "pairs": args.pairs,
+              "seed": args.seed}
+    return config, ("pair", "worst_deviation"), rows, failures
 
 
 # ------------------------------------------------------------------- deblur
 
-def cmd_deblur(args) -> int:
+def cmd_deblur(args):
     if args.full_scale:
         args.n, args.bandwidth, args.sigma_blur = 1024, 101, 9.0
     # SSIM's window needs at least SSIM_WINDOW pixels a side
@@ -339,10 +322,6 @@ def cmd_deblur(args) -> int:
               "iters": args.iters, "rank_side": args.rank_side,
               "seed": args.seed, "channels": original.channels,
               "image": args.image or "phantom"}
-    _write_csv(args.csv, config,
-               ("solver", "rank_ratio", "psnr", "ssim"), rows)
-    if not args.assert_properties:
-        return EXIT_OK
     failures = []
     if metrics["minres_lifted"][0] < metrics["minres"][0]:
         failures.append("PSNR(lifted minres) < PSNR(minres)")
@@ -351,7 +330,7 @@ def cmd_deblur(args) -> int:
             failures.append(f"PSNR({name}) <= PSNR(blurred input)")
     if metrics["s1"][0] <= metrics["s2"][0]:
         failures.append("range-aligned S1 does not outperform S2")
-    return _report_failures(failures)
+    return config, ("solver", "rank_ratio", "psnr", "ssim"), rows, failures
 
 
 # --------------------------------------------------------------------- main
@@ -424,10 +403,17 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = _default_seed()
     try:
-        return args.fn(args)
+        config, columns, rows, failures = args.fn(args)
+        if args.csv:
+            _write_csv(args.csv, config, columns, rows)
     except (OSError, ValueError) as exc:
         print(f"pinv-minres: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not args.assert_properties:
+        return EXIT_OK
+    print("\n".join(f"FAIL {msg}" for msg in failures)
+          or "all asserted properties hold")
+    return EXIT_PROPERTY if failures else EXIT_OK
 
 
 if __name__ == "__main__":

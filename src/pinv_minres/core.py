@@ -225,9 +225,6 @@ class DenseOperator(LinearOperator):
     def apply_conj(self, v):
         return self.a @ np.conj(as_vector(v, self.dim))
 
-    def matrix(self):
-        return self.a.copy()
-
 
 class CallableOperator(LinearOperator):
     """Operator defined by a user callable v -> A v; pass ``real=True``
@@ -293,9 +290,6 @@ class GaussianBlurToeplitz(LinearOperator):
 
     def _apply(self, v):
         return self.z @ v
-
-    def matrix(self):
-        return self.z.astype(np.complex128)
 
 
 def probe_symmetry(op: LinearOperator, trials: int = 10, seed: int = 0,

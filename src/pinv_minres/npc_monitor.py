@@ -80,8 +80,9 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     mdag = m.pinv_matrix()
     for x in trace.iterates:
         ax = a.apply(x)
-        monot.m_values.append(0.5 * np.vdot(x, ax).real - np.vdot(b, x).real)
-        monot.xb_values.append(np.vdot(x, b).real)
+        monot.m_values.append(float(0.5 * np.vdot(x, ax).real
+                                    - np.vdot(b, x).real))
+        monot.xb_values.append(float(np.vdot(x, b).real))
         monot.x_mdag_norms.append(float(np.sqrt(max(np.vdot(x, mdag @ x).real, 0.0))))
 
     if detected_at is None:
@@ -188,9 +189,11 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     k = t[:, None] - np.arange(p + 1)                    # wraps where j > t
     val = (td.conj() @ res.T)[t[:, None] - 1, k]
     scale = _norms(td)[:, None] * _norms(res)[k] + 1e-30
-    bad = ((val.real < -STRICT_TOL * scale)
-           | (np.abs(val.imag) > IDENTITY_RTOL * scale))
-    flag(np.tril(bad, 1) & strict[:, None], -val.real,
+    negative = val.real < -STRICT_TOL * scale
+    bad = negative | (np.abs(val.imag) > IDENTITY_RTOL * scale)
+    # the size of the test that fired: -Re for the sign, |Im| for realness
+    flag(np.tril(bad, 1) & strict[:, None],
+         np.where(negative, -val.real, np.abs(val.imag)),
          lambda j: f"tau_d_r[j={j}]")
     # <x_t, b> - <x_t, A x_t> > 0
     val = (x.conj() @ b).real - np.einsum("ij,ij->i", x.conj(), ax).real

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -65,6 +66,88 @@ class TestUsageErrors:
     def test_io_error_exits_one(self, tmp_path):
         code = run_cli("deblur", "--image", str(tmp_path / "missing.pgm"))
         assert code == EXIT_USAGE
+
+    def test_unwritable_csv_exits_one(self, tmp_path):
+        code = run_cli("synthetic", "--csv", str(tmp_path / "no" / "x.csv"))
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("synthetic", "--max-iter", "-2"),
+        ("synthetic", "--max-iter", "0"),
+        ("equiv", "--pairs", "0"),
+    ])
+    def test_out_of_range_count_exits_one(self, tmp_path, argv):
+        csv = tmp_path / "x.csv"
+        assert run_cli(*argv, "--csv", str(csv)) == EXIT_USAGE
+        assert not csv.exists()
+
+
+class TestOutputContract:
+    """One contract for every command: ``main`` writes the CSV, and a
+    failing property exits 0 without --assert and 2 with it."""
+
+    # a small run of each command: argv, header, label columns, and whether
+    # a property fails on it
+    CASES = {
+        "synthetic": (("synthetic", "--max-iter", "1"),
+                      "t,err_plain,err_lifted,kind", {"kind"}, True),
+        "precon-sweep": (("precon-sweep", "--d", "6", "--rank", "4",
+                          "--kind", "hermitian"),
+                         "family,kind,i,E_x,E_x_hat,E_r,E_P,norm_Mr,norm_AMr",
+                         {"family", "kind"}, False),
+        "npc": (("npc", "--d", "8", "--rank", "6", "--r-plus", "3"),
+                "preconditioner,t,lambda_min_T,m_x,x_b,x_mdag_norm,phi,"
+                "detected_at", {"preconditioner"}, False),
+        "equiv": (("equiv", "--d", "40", "--rank", "35", "--rank-m", "38",
+                   "--pairs", "1"), "pair,worst_deviation", set(), True),
+        "deblur": (("deblur", "--n", "16", "--bandwidth", "3",
+                    "--rank-side", "4", "--iters", "5"),
+                   "solver,rank_ratio,psnr,ssim", {"solver"}, False),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_csv_and_exit_codes(self, tmp_path, capsys, command):
+        argv, header, labels, fails = self.CASES[command]
+        argv = argv + ("--outdir", str(tmp_path / "img")) * (
+            command == "deblur")
+        csv = tmp_path / "out.csv"
+        assert run_cli(*argv, "--csv", str(csv)) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+        lines = csv.read_text().splitlines()
+        assert lines[0] == CSV_SCHEMA
+        assert lines[1].startswith("# config: ")
+        config = json.loads(lines[1][len("# config: "):])
+        assert config["cmd"] == command and "seed" in config
+        assert lines[2] == header
+        columns = header.split(",")
+        assert len(lines) > 3
+        for line in lines[3:]:
+            cells = line.split(",")
+            assert len(cells) == len(columns)
+            for column, cell in zip(columns, cells):
+                if column not in labels:
+                    float(cell)
+        if fails:
+            assert run_cli(*argv, "--assert") == EXIT_PROPERTY
+            out = capsys.readouterr().out.splitlines()
+            assert any(line.startswith("FAIL ") for line in out)
+            assert "all asserted properties hold" not in out
+
+    def test_equiv_csv_rows_are_the_printed_deviations(self, tmp_path,
+                                                      capsys):
+        csv = tmp_path / "equiv.csv"
+        assert run_cli("equiv", "--pairs", "2", "--csv", str(csv),
+                       "--assert") == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["equiv: 2 pairs agree to 1e-10",
+                            "all asserted properties hold"]
+        lines = csv.read_text().splitlines()
+        config = json.loads(lines[1][len("# config: "):])
+        assert set(config) == {"cmd", "d", "rank", "kind", "rank_m", "pairs",
+                               "seed"}
+        printed = [f"pair {k}: worst trace deviation {float(w):.3e}"
+                   for k, w in (line.split(",") for line in lines[3:])]
+        assert printed == out[:2]
 
 
 class TestPreconSweep:

@@ -141,6 +141,12 @@ class TestAdjointApply:
         z = z + z.T
         op = KroneckerOperator(z)
         assert np.allclose(op.matrix(), np.kron(z, z), atol=1e-13)
+        # a product with a unit vector is exact, so the base class returns
+        # a dense matrix and the blur's band bit for bit
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        assert np.array_equal(DenseOperator(a, HERMITIAN).matrix(), a)
+        blur = GaussianBlurToeplitz(12, 5, 2.0)
+        assert np.array_equal(blur.matrix(), blur.z)
 
 
 class TestNormShortcut:

@@ -245,3 +245,14 @@ class TestIdentityNames:
             keys.append((v.iteration, self.ORDER.index(family),
                          int(pair[2:-1]) if pair else 0))
         assert keys == sorted(keys)
+
+    def test_complex_rotation_reports_positive_magnitudes(self, m4_run):
+        # a phase on d_5 trips the realness test of <tau_5 d_5, r_{5-j}>;
+        # each violation reports the size of the test that fired
+        op, m, b, rep, monot = m4_run
+        broken = copy.deepcopy(rep)
+        broken.trace.directions[4] = np.exp(0.3j) * broken.trace.directions[4]
+        violations = verify_identities(monot, broken, op, m, b)
+        assert {v.name.split("[")[0] for v in violations} == {"tau_d_r"}
+        assert {v.iteration for v in violations} == {5}
+        assert all(v.magnitude > 0 for v in violations)
