@@ -29,19 +29,18 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
     the only early exits are exact bidiagonalization breakdown and the
     machine-precision floor of the normal-equation residual ||A^H r||
     (iterating past that floor re-amplifies roundoff on singular systems).
-    Runs in float64 when ``working_vector`` says so; x is complex128 either
-    way.
+    Runs, and reports x, in float64 when ``working_vector`` says so.
     """
     b = working_vector(a, b)
     x = np.zeros(a.dim, dtype=b.dtype)
     beta = norm(b)
     if beta == 0.0:
-        return BaselineReport(x.astype(np.complex128), 0.0, 0, None)
+        return BaselineReport(x, 0.0, 0, None)
     u = b / beta
     v = a.apply_adjoint(u)
     alfa = norm(v)
     if alfa == 0.0:
-        return BaselineReport(x.astype(np.complex128), beta, 0, None)
+        return BaselineReport(x, beta, 0, None)
     v /= alfa
     w = v.copy()
     phibar = beta
@@ -75,8 +74,7 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
         arnorm = alfa * abs(s * phi)
         if beta <= tiny or alfa <= tiny or arnorm <= arnorm_floor:
             break
-    return BaselineReport(x.astype(np.complex128, copy=False), float(phibar),
-                          iters, None)
+    return BaselineReport(x, float(phibar), iters, None)
 
 
 def tsvd_solve(a, b, rank: int | None = None,
@@ -113,18 +111,19 @@ def tsvd_solve_kronecker(z, bmat, rank_pairs: int) -> BaselineReport:
     of A are products of eigenvalue pairs of the symmetric factor Z.
 
     ``bmat`` is the right-hand side as an n x n array; ``rank_pairs`` counts
-    retained (i, j) pairs, ordered by |lambda_i lambda_j| descending.
+    retained (i, j) pairs, ordered by |lambda_i lambda_j| descending.  x is
+    float64.  The residual ||Z X Z - B||_F is taken in Z's eigenbasis, as
+    ||outer(lambda, lambda) * X~ - B~||_F, without two n^3 products by Z.
     """
     z = np.asarray(z, dtype=np.float64)
     bmat = np.asarray(bmat, dtype=np.float64)
     lam, q = np.linalg.eigh(z)
-    prod = np.abs(np.outer(lam, lam))
-    order = np.argsort(prod, axis=None)[::-1]
-    keep = np.zeros_like(prod, dtype=bool)
-    keep[np.unravel_index(order[:rank_pairs], prod.shape)] = True
+    lam2 = np.outer(lam, lam)
+    order = np.argsort(np.abs(lam2), axis=None)[::-1]
+    keep = np.zeros(lam2.shape, dtype=bool)
+    keep[np.unravel_index(order[:rank_pairs], lam2.shape)] = True
     bt = q.T @ bmat @ q
-    xt = np.where(keep, bt / np.where(keep, np.outer(lam, lam), 1.0), 0.0)
+    xt = np.where(keep, bt / np.where(keep, lam2, 1.0), 0.0)
     x = q @ xt @ q.T
-    resid = float(np.linalg.norm(z @ x @ z - bmat))
-    return BaselineReport(x.reshape(-1).astype(np.complex128), resid, 0,
-                          int(rank_pairs))
+    resid = float(np.linalg.norm(lam2 * xt - bt))
+    return BaselineReport(x.reshape(-1), resid, 0, int(rank_pairs))

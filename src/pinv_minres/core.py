@@ -4,8 +4,9 @@ Library routines work on 1-D ``numpy.complex128`` arrays; real inputs are
 promoted with zero imaginary parts.  The exception is real data on an
 operator whose class sets ``real = True`` (``KroneckerOperator``,
 ``GaussianBlurToeplitz``): its products keep a float64 input in float64,
-and plain Hermitian solves and LSQR on it run in float64 when b has no
-imaginary part (``working_vector``), still reporting complex128 vectors.
+and ``working_vector`` is the one place that picks a solve's dtype: plain
+Hermitian solves, LSQR and Hermitian ``subsolve`` on such an operator run
+in float64 when b has no imaginary part, and report float64 vectors.
 Operators are immutable after construction and may be applied concurrently
 from several solves.
 
@@ -61,7 +62,8 @@ def as_vector(v, dim: int | None = None, real: bool = False) -> np.ndarray:
 def working_vector(a: "LinearOperator", b) -> np.ndarray:
     """Return b as the working vector of a solve on ``a``: float64 when
     ``a`` declares itself real and b has no imaginary part (a real
-    Hermitian problem never leaves the reals), complex128 otherwise."""
+    Hermitian problem never leaves the reals), complex128 otherwise.  The
+    solve runs and reports in this dtype."""
     b = as_vector(b, a.dim)
     if a.real and not b.imag.any():
         return np.ascontiguousarray(b.real)

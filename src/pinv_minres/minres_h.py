@@ -111,10 +111,12 @@ def lift(x: np.ndarray, r: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
 
     With r the final MINRES residual this is the pseudo-inverse solution;
     at earlier iterations it is the orthogonal projection of x onto
-    A K_t(A, b).  A (near-)zero r returns x unchanged.
+    A K_t(A, b).  A (near-)zero r returns x unchanged.  The result is
+    float64 when x and r both are, and complex128 otherwise.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    r = as_vector(r, x.shape[0])
+    real = np.asarray(x).dtype == np.asarray(r).dtype == np.float64
+    x = np.asarray(x, dtype=np.float64 if real else np.complex128)
+    r = as_vector(r, x.shape[0], real)
     nr = norm(r)
     if nr <= zero_tol or nr == 0.0:
         return x.copy()
@@ -246,9 +248,9 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     so no preconditioner apply, PSD check or extra vector is spent.  The
     complex-symmetric flag switches in the Saunders modifications (bilinear
     pairings, complex cosine, conjugated direction and residual updates).
-    A plain Hermitian solve runs in float64 when ``working_vector`` says so;
-    its scalars are real anyway, and its reported vectors and trace are
-    complex128 either way.
+    A plain Hermitian solve runs in float64 when ``working_vector`` says so
+    (its scalars are real anyway), and then reports float64 vectors and
+    trace.
 
     On the Hermitian path the scalars are Python floats: float arithmetic
     and ``math.sqrt`` round exactly as numpy float64 does, so results are
@@ -280,8 +282,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
 
     def report(x, rbrev, rhat, phi, termination, iterations, grade, beta1):
         if m is None:
-            x = x.astype(np.complex128, copy=False)
-            rbrev = rbrev.astype(np.complex128, copy=False)
             return SolveReport(x=x, r=rbrev, phi=float(phi), norm_b=norm_b,
                                termination=termination, iterations=iterations,
                                grade=grade, kind=kind, trace=trace)
@@ -325,10 +325,10 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         buffer.push(v, None if m is None else u)
 
     def record(gamma2, c, s, tau, dvec):
-        trace.iterates.append(x.astype(np.complex128))
+        trace.iterates.append(x.copy())
         if m is None:
-            trace.residuals.append(rbrev.astype(np.complex128))
-            trace.basis.append(v.astype(np.complex128))
+            trace.residuals.append(rbrev.copy())
+            trace.basis.append(v.copy())
         else:
             trace.rhats.append(rhat.copy())
             trace.rbreves.append(rbrev.copy())
@@ -341,7 +341,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         trace.cs.append(complex(c))
         trace.ss.append(float(s))
         trace.taus.append(complex(tau))
-        trace.directions.append(dvec.astype(np.complex128))
+        trace.directions.append(dvec.copy())
 
     termination = TERM_MAX_ITER
     g = None

@@ -193,9 +193,9 @@ class KroneckerSubOperator(SubOperator):
         """Over a ``KroneckerOperator`` A = Z (x) Z and the Hermitian kind,
         S^H A S = (C^T Z C) (x) (C^T Z C) by the mixed-product rule: a
         Kronecker operator with an rc x rc factor, formed once and
-        symmetrised against roundoff.  Other operators and the
-        complex-symmetric kind compose."""
-        if kind == HERMITIAN and isinstance(a, KroneckerOperator):
+        symmetrised against roundoff.  Other operators, complex-declared
+        ones included, and the complex-symmetric kind compose."""
+        if kind == HERMITIAN and isinstance(a, KroneckerOperator) and a.real:
             k = self.c.T @ a.z @ self.c
             return KroneckerOperator((k + k.T) / 2)
         return super().reduce(a, kind)
@@ -265,13 +265,13 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
     A = Z (x) Z with a ``KroneckerSubOperator`` S = C (x) C and the
     Hermitian kind it is formed once as (C^T Z C) (x) (C^T Z C), so the
     only full-space product of A is the final true residual; other factors
-    compose S^H A S on every iteration.  A real b on real A and S stays
-    in float64 throughout, as in ``solve``.
+    compose S^H A S on every iteration.
 
     The returned report carries x = S x~, r_hat = S r~ (conj(S) r~ for the
     complex-symmetric kind) and the true residual b - A x as both ``r`` and
     ``r_breve``, so ``plift`` applies to it unchanged; the reduced-space
-    report is attached as ``reduced``.  Its vectors are complex128.
+    report is attached as ``reduced``.  The Hermitian kind takes its dtype
+    from ``working_vector`` as ``solve`` does when S is real.
     """
     if a.dim != s.d:
         raise ValueError("operator and sub-preconditioner dimensions differ")
@@ -280,19 +280,16 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
         b = working_vector(a, b) if s.real else as_vector(b, a.dim)
         bt = s.apply_adjoint(b)
         red = solve(s.reduce(a, kind), bt, opts)
-        xt, rt = (red.x.real, red.r.real) if b.dtype == np.float64 else (red.x, red.r)
-        rhat = s.apply(rt)
+        rhat = s.apply(red.r)
     elif kind == COMPLEX_SYMMETRIC:
         b = as_vector(b, a.dim)
         bt = s.apply_transpose(b)
         red = solve_cs(s.reduce(a, kind), bt, opts)
-        xt = red.x
         rhat = s.apply_conj(red.r)
     else:
         raise ValueError(f"subsolve supports hermitian/complex_symmetric, got {kind!r}")
-    x = s.apply(xt)
+    x = s.apply(red.x)
     r_true = b - a.apply(x)
-    x, rhat, r_true = (v.astype(np.complex128, copy=False) for v in (x, rhat, r_true))
     return SolveReport(x=x, r=r_true, phi=red.phi, norm_b=norm(b),
                        termination=red.termination, iterations=red.iterations,
                        grade=red.grade, kind=kind, preconditioned=True,
@@ -302,13 +299,10 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
 
 def sublift(report: SolveReport, s: SubOperator) -> np.ndarray:
     """Lift a subsolve result through the reduced problem: S lift(x~, r~),
-    made as one float64 product on the real path, as in ``subsolve``."""
+    in the dtype of the reduced report, so float64 on the real path."""
     red = report.reduced
     if red is None:
         raise ValueError("sublift needs a report produced by subsolve")
     if red.kind == COMPLEX_SYMMETRIC:
         return s.apply(lift_cs(red.x, red.r))
-    xt = lift(red.x, red.r)
-    if s.real and not xt.imag.any():
-        return s.apply(xt.real).astype(np.complex128)
-    return s.apply(xt)
+    return s.apply(lift(red.x, red.r))

@@ -4,7 +4,7 @@ import pytest
 from conftest import rel_err
 from pinv_minres.baselines import lsqr, tsvd_solve, tsvd_solve_kronecker
 from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
-                              DenseOperator)
+                              DenseOperator, GaussianBlurToeplitz)
 from pinv_minres.oracle import pinv
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rand_skew_hermitian, rng_for)
@@ -112,3 +112,19 @@ class TestTsvdKronecker:
             rep_d = tsvd_solve(a, bmat.reshape(-1).astype(complex), rank=k)
             assert np.linalg.norm(rep_k.x - rep_d.x) <= \
                 1e-8 * max(np.linalg.norm(rep_d.x), 1.0)
+
+    @pytest.mark.parametrize("blur", [False, True], ids=["random", "blur"])
+    def test_eigenbasis_residual_matches_dense(self, rng, blur):
+        # the residual is taken in Z's eigenbasis; it must be ||Z X Z - B||_F
+        n = 12
+        if blur:
+            z = GaussianBlurToeplitz(n, 5, 1.5).z
+        else:
+            z = rng.standard_normal((n, n))
+            z = z + z.T
+        bmat = rng.standard_normal((n, n))
+        for k in (1, 10, 72, n * n - 1):
+            rep = tsvd_solve_kronecker(z, bmat, rank_pairs=k)
+            x = rep.x.reshape(n, n)
+            dense = np.linalg.norm(z @ x @ z - bmat)
+            assert abs(rep.residual_norm - dense) <= 1e-10 * dense

@@ -3,7 +3,8 @@
 one of them breaks the benchmark's import or its tracer.  These tests load
 the tracer and the workloads as they are, resolve every binding, and check
 that the benchmark's copy of the deblur set-up still builds what the
-library's ``imaging.deblur_problem`` builds."""
+library's ``imaging.deblur_problem`` builds, and that every check of one
+deblur and one curvature pass holds on the library as it is."""
 
 import importlib.util
 import sys
@@ -61,5 +62,14 @@ def test_bench_curvature_checks_pass(seed):
     bench = _load("workloads").Curvature()
     cases = bench.setup(seed)
     ops = bench.check(cases, bench.reference(cases), bench.run_pass(cases))
+    assert ops
+    assert [(name, detail) for name, ok, detail in ops if not ok] == []
+
+
+def test_bench_deblur_checks_pass():
+    # the benchmark's deblur-n256 operations, as one pass of it runs them
+    bench = _load("workloads").Deblur()
+    st = bench.setup(5)
+    ops = bench.check(st, bench.reference(st), bench.run_pass(st))
     assert ops
     assert [(name, detail) for name, ok, detail in ops if not ok] == []

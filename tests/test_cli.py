@@ -160,6 +160,13 @@ class TestPreconSweep:
         # both families for both kinds, d ranks each
         assert len(lines) == 3 + 4 * 20
 
+    def test_assert_mode_full_rank(self, capsys):
+        # on a nonsingular A every full-rank M recovers A^+ b, so the
+        # non-range-preserved gate applies only at rank < d
+        assert run_cli("precon-sweep", "--d", "6", "--rank", "6",
+                       "--kind", "hermitian", "--assert") == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
 
 class TestNpc:
     def test_assert_mode(self, tmp_path):

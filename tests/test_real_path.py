@@ -84,17 +84,17 @@ def test_real_path_matches_complex_path(reference, zeros, seed):
     opts = SolveOptions(max_iterations=STEPS, record_trace=True)
 
     got, ref = solve(real_op, bc, opts), solve(ref_op, bc, opts)
-    assert got.x.dtype == np.complex128 and got.r.dtype == np.complex128
+    assert got.x.dtype == np.float64 and got.r.dtype == np.float64
     assert got.iterations == ref.iterations == STEPS
     for name in ("iterates", "residuals", "basis", "directions"):
         for u, v in zip(getattr(got.trace, name), getattr(ref.trace, name)):
-            assert u.dtype == np.complex128
+            assert u.dtype == np.float64
             assert rel_err(u, v) <= 1e-12, name
     assert abs(got.phi - ref.phi) <= 1e-12 * ref.phi
     assert rel_err(lift(got.x, got.r), lift(ref.x, ref.r)) <= 1e-12
 
     ls, ls_ref = lsqr(real_op, bc, STEPS), lsqr(ref_op, bc, STEPS)
-    assert ls.x.dtype == np.complex128
+    assert ls.x.dtype == np.float64
     assert rel_err(ls.x, ls_ref.x) <= 1e-12
     assert abs(ls.residual_norm - ls_ref.residual_norm) <= \
         1e-12 * ls_ref.residual_norm
@@ -113,7 +113,7 @@ def test_zero_imaginary_b_runs_in_float64():
     op = _DtypeRecorder(z)
     rep = solve(op, b, SolveOptions(max_iterations=STEPS,
                                     reorthogonalize=True))
-    assert rep.x.dtype == np.complex128
+    assert rep.x.dtype == np.float64
     assert op.seen and set(op.seen) == {np.dtype(np.float64)}
     op.seen.clear()
     lsqr(op, b, STEPS)
@@ -124,13 +124,12 @@ def test_zero_imaginary_b_runs_in_float64():
     sub = subsolve(op, KroneckerSubOperator(c), b,
                    SolveOptions(max_iterations=STEPS))
     assert op.seen == [np.dtype(np.float64)]
-    assert sub.x.dtype == sub.r.dtype == sub.r_hat.dtype == np.complex128
+    assert sub.x.dtype == sub.r.dtype == sub.r_hat.dtype == np.float64
 
 
 def test_sublift_product_runs_in_float64():
-    # the reduced report's vectors are complex128 with zero imaginary parts;
-    # S lift(x~, r~) must still be one real product, bitwise equal to the
-    # split complex product
+    # the reduced report's vectors are float64, so S lift(x~, r~) is one
+    # real product, bitwise equal to the same product made outside sublift
     z, c = _factor(3, 7)
     b = np.random.default_rng(8).standard_normal(N * N)
     s = _SubDtypeRecorder(c)
@@ -139,9 +138,9 @@ def test_sublift_product_runs_in_float64():
     s.seen.clear()
     got = sublift(sub, s)
     assert s.seen == [np.dtype(np.float64)]
-    assert got.dtype == np.complex128
+    assert got.dtype == np.float64
     ref = KroneckerSubOperator(c).apply(lift(sub.reduced.x, sub.reduced.r))
-    assert ref.dtype == np.complex128
+    assert ref.dtype == np.float64
     assert np.array_equal(got, ref)
 
 
