@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
+from .core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator, probe_symmetry
 from .imaging import (DEBLUR_SOLVERS, SSIM_WINDOW, ImagePlane, deblur_channel,
                       deblur_problem, phantom, psnr, read_image, ssim,
                       write_image)
@@ -290,6 +290,9 @@ def cmd_deblur(args):
         raise ValueError("bandwidth too large for the image size")
     problem = deblur_problem(original, args.bandwidth, args.sigma_blur,
                              args.sigma_noise, args.rank_side, args.seed)
+    # MINRES and the lifts are only meaningful on the symmetry A declares;
+    # probed before the solves so that its vectors do not add to their peak
+    symmetric = probe_symmetry(problem["op"], trials=3)
     recon = {name: [] for name in DEBLUR_SOLVERS}
     for k in range(original.channels):
         for name, x in deblur_channel(problem, k, args.iters).items():
@@ -323,6 +326,8 @@ def cmd_deblur(args):
               "seed": args.seed, "channels": original.channels,
               "image": args.image or "phantom"}
     failures = []
+    if not symmetric:
+        failures.append(f"the blur operator is not {problem['op'].kind}")
     if metrics["minres_lifted"][0] < metrics["minres"][0]:
         failures.append("PSNR(lifted minres) < PSNR(minres)")
     for name in DEBLUR_SOLVERS:

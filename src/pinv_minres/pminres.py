@@ -34,6 +34,8 @@ class Preconditioner:
     The economy pieces (orthonormal ``p``, positive ``sigma`` with
     M = P diag(sigma) P^H) are kept when known; they give exact ranks,
     pseudo-inverses and range projections for the oracle-facing checks.
+    The basis ``p`` (or the factor's ``s``) is held once, by reference,
+    with no conjugate-transpose copy beside it.
     """
 
     def __init__(self, dim: int, apply_fn, *, rank: int | None = None,
@@ -45,15 +47,26 @@ class Preconditioner:
         self.rank = rank
         self.p = p
         self.sigma = None if sigma is None else np.asarray(sigma, dtype=np.float64)
-        self.factor = factor
+        self._factor = factor
         self._mat = mat
+
+    @property
+    def factor(self) -> "SubOperator | None":
+        """A factor S with M = S S^H: the one given to ``from_factor``, or
+        else, when the economy pieces are known, S = P diag(sqrt(sigma)),
+        built anew on each access and not kept, so a preconditioner holds
+        its basis once; None from ``from_matrix``.  Bind it once where it is
+        used more than once."""
+        if self._factor is not None or self.p is None:
+            return self._factor
+        return DenseSubOperator(self.p * np.sqrt(self.sigma))
 
     # -- constructors -------------------------------------------------
     @classmethod
     def identity(cls, dim: int) -> "Preconditioner":
         eye = np.eye(dim, dtype=np.complex128)
         return cls(dim, lambda v: v.copy(), rank=dim, p=eye,
-                   sigma=np.ones(dim), factor=DenseSubOperator(eye), mat=eye)
+                   sigma=np.ones(dim), mat=eye)
 
     @classmethod
     def from_matrix(cls, m) -> "Preconditioner":
@@ -64,25 +77,29 @@ class Preconditioner:
 
     @classmethod
     def from_factor(cls, s) -> "Preconditioner":
-        """M = S S^H for a dense d x m factor S."""
-        s = np.asarray(s, dtype=np.complex128)
-        sh = s.conj().T
-        return cls(s.shape[0], lambda v: s @ (sh @ v),
-                   rank=None, factor=DenseSubOperator(s))
+        """M = S S^H for a dense d x m factor S, held once and by reference
+        (a complex128 S is not copied): S^H v is taken as
+        conj(conj(v) S), so no conjugate transpose is stored."""
+        factor = DenseSubOperator(s)
+        s = factor.s
+        return cls(s.shape[0], lambda v: s @ np.conj(np.conj(v) @ s),
+                   rank=None, factor=factor)
 
     @classmethod
     def from_economy(cls, p, sigma) -> "Preconditioner":
-        """M = P diag(sigma) P^H with orthonormal P and sigma > 0."""
+        """M = P diag(sigma) P^H with orthonormal P and sigma > 0.
+
+        P is held by reference (a complex128 P is not copied, and a view
+        keeps its base alive) and nothing else of its size is kept: P^H v
+        is taken as conj(conj(v) P), and ``factor`` is built on access."""
         p = np.asarray(p, dtype=np.complex128)
         sigma = np.asarray(sigma, dtype=np.float64)
         if p.shape[1] != sigma.shape[0]:
             raise ValueError("basis/weight size mismatch")
         if np.any(sigma <= 0):
             raise ValueError("economy weights must be strictly positive")
-        ph = p.conj().T
-        factor = DenseSubOperator(p * np.sqrt(sigma))
-        return cls(p.shape[0], lambda v: p @ (sigma * (ph @ v)),
-                   rank=p.shape[1], p=p, sigma=sigma, factor=factor)
+        return cls(p.shape[0], lambda v: p @ (sigma * np.conj(np.conj(v) @ p)),
+                   rank=p.shape[1], p=p, sigma=sigma)
 
     # -- operations ---------------------------------------------------
     def apply(self, v) -> np.ndarray:
@@ -167,7 +184,8 @@ class DenseSubOperator(SubOperator):
         return self.s @ as_vector(v, self.m)
 
     def apply_adjoint(self, v):
-        return self.s.conj().T @ as_vector(v, self.d)
+        """S^H v as conj(conj(v) S): no d x m conjugate copy of S per call."""
+        return np.conj(np.conj(as_vector(v, self.d)) @ self.s)
 
 
 class KroneckerSubOperator(SubOperator):

@@ -4,7 +4,8 @@ one of them breaks the benchmark's import or its tracer.  These tests load
 the tracer and the workloads as they are, resolve every binding, and check
 that the benchmark's copy of the deblur set-up still builds what the
 library's ``imaging.deblur_problem`` builds, and that every check of one
-deblur and one curvature pass holds on the library as it is."""
+deblur, one curvature and one dense-systems pass holds on the library as it
+is."""
 
 import importlib.util
 import sys
@@ -72,4 +73,13 @@ def test_bench_deblur_checks_pass():
     st = bench.setup(5)
     ops = bench.check(st, bench.reference(st), bench.run_pass(st))
     assert ops
+    assert [(name, detail) for name, ok, detail in ops if not ok] == []
+
+
+def test_bench_dense_systems_checks_pass():
+    # the benchmark's dense-system operations, as dense-batch runs them
+    bench = _load("workloads").DenseSystems()
+    items = bench.setup(1)
+    ops = bench.check(items, bench.reference(items), bench.run_pass(items))
+    assert len(ops) == bench.count + 1
     assert [(name, detail) for name, ok, detail in ops if not ok] == []

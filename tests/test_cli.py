@@ -251,6 +251,29 @@ class TestDeblur:
             " blurred_noisy: PSNR   3.977 dB, SSIM 0.2779",
         ]
 
+    def test_declared_symmetry_gate(self, tmp_path, capsys, monkeypatch):
+        # the gate probes the blur for the symmetry it declares: the real
+        # blur passes it, and one off-diagonal entry doubled fails it
+        from pinv_minres import cli
+        from pinv_minres.core import KroneckerOperator
+        argv = ("deblur", "--n", "16", "--bandwidth", "3", "--rank-side",
+                "4", "--iters", "5", "--outdir", str(tmp_path), "--assert")
+        line = "FAIL the blur operator is not hermitian"
+        run_cli(*argv)
+        assert line not in capsys.readouterr().out.splitlines()
+        build = cli.deblur_problem
+
+        def skewed(*args):
+            problem = build(*args)
+            z = problem["z"].copy()
+            z[0, 1] *= 2.0
+            problem["op"] = KroneckerOperator(z)
+            return problem
+
+        monkeypatch.setattr(cli, "deblur_problem", skewed)
+        assert run_cli(*argv) == EXIT_PROPERTY
+        assert line in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("argv", [
         ("--rank-side", "0"),
         ("--n", "32", "--rank-side", "65"),
