@@ -8,9 +8,8 @@ from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                    KroneckerOperator, LinearOperator, probe_symmetry)
 from .minres_cs import lift_cs, solve_cs
 from .minres_h import (SolveOptions, SolveReport, lift, solve, solve_skew)
-from .oracle import (OracleDecomposition, check_rank_assumptions, grade,
-                     hermitian_eig, lifted_problem_pinv, pinv, takagi,
-                     verify_moore_penrose)
+from .oracle import (OracleDecomposition, check_rank_assumptions,
+                     hermitian_eig, lifted_problem_pinv, pinv, takagi)
 from .pminres import (DenseSubOperator, KroneckerSubOperator, Preconditioner,
                       ReorthBuffer, SubOperator, plift, psolve_cs, psolve_h,
                       sublift, subsolve)
@@ -21,8 +20,8 @@ __all__ = [
     "KroneckerOperator", "LinearOperator", "probe_symmetry",
     "SolveOptions", "SolveReport", "solve", "solve_skew", "lift",
     "solve_cs", "lift_cs",
-    "OracleDecomposition", "pinv", "verify_moore_penrose", "takagi",
-    "grade", "hermitian_eig", "lifted_problem_pinv", "check_rank_assumptions",
+    "OracleDecomposition", "pinv", "takagi", "hermitian_eig",
+    "lifted_problem_pinv", "check_rank_assumptions",
     "Preconditioner", "SubOperator", "DenseSubOperator",
     "KroneckerSubOperator", "ReorthBuffer", "psolve_h", "psolve_cs",
     "plift", "subsolve", "sublift",

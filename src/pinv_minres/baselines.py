@@ -1,15 +1,15 @@
 """Reference solvers for the comparison experiments: LSQR (Golub-Kahan
-bidiagonalization, two operator products per iteration) and truncated SVD.
+bidiagonalization, two operator products per iteration) and the truncated
+SVD of a Kronecker product.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, as_vector, norm, working_vector
+from .core import LinearOperator, norm, working_vector
 
 
 @dataclass
@@ -75,35 +75,6 @@ def lsqr(a: LinearOperator, b, max_iter: int = 100) -> BaselineReport:
         if beta <= tiny or alfa <= tiny or arnorm <= arnorm_floor:
             break
     return BaselineReport(x, float(phibar), iters, None)
-
-
-def tsvd_solve(a, b, rank: int | None = None,
-               threshold: float | None = None) -> BaselineReport:
-    """Truncated-SVD solution sum_k (u_k^H b / s_k) v_k over the retained
-    singular triplets, selected by count (``rank``) or by relative singular
-    value (``threshold``)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = as_vector(b, a.shape[0])
-    if (rank is None) == (threshold is None):
-        raise ValueError("pass exactly one of rank or threshold")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    numerical = int(np.count_nonzero(s > 1e-12 * smax)) if smax > 0 else 0
-    if rank is not None:
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        if rank > numerical:
-            warnings.warn(f"requested rank {rank} exceeds numerical rank "
-                          f"{numerical}; clamping", stacklevel=2)
-            rank = numerical
-        k = rank
-    else:
-        k = int(np.count_nonzero(s >= threshold * smax)) if smax > 0 else 0
-    if k == 0:
-        x = np.zeros(a.shape[1], dtype=np.complex128)
-    else:
-        x = vh[:k].conj().T @ ((u[:, :k].conj().T @ b) / s[:k])
-    return BaselineReport(x, float(np.linalg.norm(b - a @ x)), 0, k)
 
 
 def tsvd_solve_kronecker(z, bmat, rank_pairs: int) -> BaselineReport:

@@ -124,11 +124,6 @@ def kron_apply(f: np.ndarray, v: np.ndarray, tiles: list | None = None) -> np.nd
     return out.reshape(-1)
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Inner product x^H y, conjugate-linear in the first argument."""
-    return complex(np.vdot(x, y))
-
-
 def norm(x: np.ndarray) -> float:
     """Euclidean norm, bitwise equal to ``np.linalg.norm(x)``.
 
@@ -294,32 +289,37 @@ class GaussianBlurToeplitz(LinearOperator):
         return self.z @ v
 
 
-def probe_symmetry(op: LinearOperator, trials: int = 10, seed: int = 0,
-                   rtol: float = 1e-10) -> bool:
-    """Check the declared symmetry identity on random probe pairs.
+def probe_symmetry(op: LinearOperator) -> bool:
+    """Check the declared symmetry identity on three random probe pairs.
 
     hermitian:          <u, A v> = <A u, v>
     skew_hermitian:     <u, A v> = -<A u, v>
     complex_symmetric:  u^T A v  = v^T A u
 
-    Returns False on the first violation beyond the relative tolerance.
+    The probes are seeded (Philox, seed 0) and float64 on an operator that
+    declares ``real``, whose products then stay real; complex otherwise.
+    Returns False on the first violation beyond 1e-10 relative.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     d = op.dim
-    for _ in range(trials):
-        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+    def probe():
+        if op.real:
+            return rng.standard_normal(d)
+        return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+    for _ in range(3):
+        u = probe()
+        v = probe()
         av = op.apply(v)
         au = op.apply(u)
         scale = norm(u) * norm(av) + norm(au) * norm(v) + 1e-300
         if op.kind == HERMITIAN:
-            diff = abs(inner(u, av) - inner(au, v))
+            diff = abs(np.vdot(u, av) - np.vdot(au, v))
         elif op.kind == SKEW_HERMITIAN:
-            diff = abs(inner(u, av) + inner(au, v))
+            diff = abs(np.vdot(u, av) + np.vdot(au, v))
         else:
             diff = abs(np.dot(u, av) - np.dot(v, au))
-        if diff > rtol * scale:
+        if diff > 1e-10 * scale:
             return False
     return True

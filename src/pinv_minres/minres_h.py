@@ -30,31 +30,27 @@ TERM_MAX_ITER = "max_iter"
 TERM_NULL_PRECONDITIONED_RHS = "b_in_null_m"
 
 
+# Zero tests: beta_{t+1} is declared zero at beta_{t+1} <= EPS_ZERO * beta_1
+# and the rotated pivot at gamma^[2] <= EPS_ZERO * (|alpha_t| + beta_t +
+# beta_{t+1}).  Both vanish exactly at the grade in exact arithmetic; their
+# roundoff floor sits around 1e-12 of the problem scale, so a threshold below
+# 1e-10 risks missing the termination and dividing by a noise-level pivot.
+EPS_ZERO = 1e-8
+# The robust companion of the gamma test: phi_{t-1} hypot(gamma_t,
+# delta_{t+1}) estimates ||A r_{t-1}||, which vanishes exactly when the
+# least-squares problem is solved.  Once it falls to this fraction of
+# ||A r_0|| the current step is completed and the solve stops as
+# grade-reached, before the direction recurrence starts compounding
+# noise-level pivots (the regime MINRES-QLP was designed for).
+NORMAL_RESIDUAL_TARGET = 1e-8
+
+
 @dataclass
 class SolveOptions:
-    """Solver knobs: ``max_iterations``, ``eps_zero``,
-    ``normal_residual_target``, ``record_trace`` and ``reorthogonalize``.
+    """Solver knobs: ``max_iterations`` (default 2 d + 10),
+    ``record_trace`` and ``reorthogonalize``."""
 
-    ``eps_zero`` scales the floating-point zero tests: beta_{t+1} is
-    declared zero at beta_{t+1} <= eps_zero * beta_1 and the rotated pivot
-    gamma at gamma^[2] <= eps_zero * (|alpha_t| + beta_t + beta_{t+1}).
-    Both quantities vanish exactly at the grade in exact arithmetic; their
-    roundoff floor sits around 1e-12 of the problem scale, so a threshold
-    below 1e-10 risks missing the termination and dividing by a noise-level
-    pivot.
-
-    ``normal_residual_target`` is the robust companion of the gamma test:
-    phi_{t-1} * hypot(gamma_t, delta_{t+1}) estimates ||A r_{t-1}||, which
-    vanishes exactly when the least-squares problem is solved.  Once it
-    falls below the target relative to ||A r_0|| the current step is
-    completed and the solve stops as grade-reached, before the direction
-    recurrence starts compounding noise-level pivots (the regime MINRES-QLP
-    was designed for).  Set to None to disable.
-    """
-
-    max_iterations: int | None = None     # default: 2 d + 10
-    eps_zero: float = 1e-8                # relative zero test for beta, gamma
-    normal_residual_target: float | None = 1e-8  # relative ||A r|| stop
+    max_iterations: int | None = None
     record_trace: bool = False
     reorthogonalize: bool = False
 
@@ -272,7 +268,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     norm_b = norm(b)
     zeros = np.zeros(a.dim, dtype=b.dtype)
     trace = Trace() if opts.record_trace else None
-    eps_z = opts.eps_zero
 
     def partner(v, w, beta):
         """u = w / beta, or the M = I partner of v when there is no w."""
@@ -298,7 +293,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     else:
         w = m.apply(np.conj(b) if cs else b)
         beta1 = _beta_from(b, w, cs)
-        if norm_b == 0.0 or beta1 <= eps_z * np.sqrt(norm(b) * norm(w) + 1e-300):
+        if norm_b == 0.0 or beta1 <= EPS_ZERO * np.sqrt(norm(b) * norm(w) + 1e-300):
             return report(zeros, zeros.copy(), zeros.copy(), 0.0,
                           TERM_NULL_PRECONDITIONED_RHS, 0, None, 0.0)
 
@@ -319,7 +314,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     d1 = d2 = v_prev = zeros  # d_{t-1}, d_{t-2}, v_{t-1}: read-only
     # d_t is built into the buffer that held d_{t-3}
     dbufs = (np.empty_like(zeros), np.empty_like(zeros), np.empty_like(zeros))
-    target = opts.normal_residual_target
     buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
     if buffer is not None:
         buffer.push(v, None if m is None else u)
@@ -345,6 +339,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
 
     termination = TERM_MAX_ITER
     g = None
+    tnorm = 0.0
     t = 0
     for t in range(1, max_iter + 1):
         q = a.apply(u)
@@ -370,12 +365,19 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         arnorm_prev = phi * abs(complex(abs(gamma_pre), abs(delta)))
         if t == 1:
             arnorm0 = arnorm_prev
-        ls_converged = (target is not None and t > 1
-                        and arnorm_prev <= target * arnorm0)
+        ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
 
-        if gamma2 <= eps_z * (abs(alpha) + beta + beta_next):
+        col = abs(alpha) + beta + beta_next
+        tnorm = max(tnorm, col)   # running estimate of ||T||
+        if (gamma2 <= EPS_ZERO * col
+                or (beta_next <= EPS_ZERO * beta1
+                    and abs(gamma_pre) <= EPS_ZERO * tnorm)):
             # Krylov/Saunders space exhausted with nonzero residual: the
-            # iterate freezes one step back and the grade is t.
+            # iterate freezes one step back and the grade is t.  The joint
+            # test catches a pivot that clears the column's own scale only
+            # because the column is small: with beta_{t+1} and gamma_t both
+            # zero against ||T||, dividing by gamma^[2] would add a
+            # noise-level direction to x and the beta test would then zero r.
             g = t
             termination = TERM_GAMMA_ZERO
             if trace is not None:
@@ -396,7 +398,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         d1 = dvec
         x += tau * dvec
 
-        if beta_next <= eps_z * beta1:
+        if beta_next <= EPS_ZERO * beta1:
             g = t
             termination = TERM_BETA_ZERO
             rbrev = zeros.copy()

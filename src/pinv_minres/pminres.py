@@ -38,43 +38,34 @@ class Preconditioner:
     with no conjugate-transpose copy beside it.
     """
 
-    def __init__(self, dim: int, apply_fn, *, rank: int | None = None,
+    def __init__(self, dim: int, apply_fn, *,
                  p: np.ndarray | None = None, sigma: np.ndarray | None = None,
-                 factor: "SubOperator | None" = None,
-                 mat: np.ndarray | None = None):
+                 factor: "SubOperator | None" = None):
         self.dim = int(dim)
         self._apply = apply_fn
-        self.rank = rank
         self.p = p
         self.sigma = None if sigma is None else np.asarray(sigma, dtype=np.float64)
         self._factor = factor
-        self._mat = mat
+        self._mat = None
+
+    @property
+    def rank(self) -> int | None:
+        """rank(M) when the economy pieces are known (the width of ``p``),
+        else None."""
+        return None if self.p is None else self.p.shape[1]
 
     @property
     def factor(self) -> "SubOperator | None":
         """A factor S with M = S S^H: the one given to ``from_factor``, or
         else, when the economy pieces are known, S = P diag(sqrt(sigma)),
         built anew on each access and not kept, so a preconditioner holds
-        its basis once; None from ``from_matrix``.  Bind it once where it is
-        used more than once."""
+        its basis once; None for a bare apply function.  Bind it once where
+        it is used more than once."""
         if self._factor is not None or self.p is None:
             return self._factor
         return DenseSubOperator(self.p * np.sqrt(self.sigma))
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def identity(cls, dim: int) -> "Preconditioner":
-        eye = np.eye(dim, dtype=np.complex128)
-        return cls(dim, lambda v: v.copy(), rank=dim, p=eye,
-                   sigma=np.ones(dim), mat=eye)
-
-    @classmethod
-    def from_matrix(cls, m) -> "Preconditioner":
-        m = np.asarray(m, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("preconditioner matrix must be square")
-        return cls(m.shape[0], lambda v: m @ v, mat=m)
-
     @classmethod
     def from_factor(cls, s) -> "Preconditioner":
         """M = S S^H for a dense d x m factor S, held once and by reference
@@ -83,7 +74,7 @@ class Preconditioner:
         factor = DenseSubOperator(s)
         s = factor.s
         return cls(s.shape[0], lambda v: s @ np.conj(np.conj(v) @ s),
-                   rank=None, factor=factor)
+                   factor=factor)
 
     @classmethod
     def from_economy(cls, p, sigma) -> "Preconditioner":
@@ -99,7 +90,7 @@ class Preconditioner:
         if np.any(sigma <= 0):
             raise ValueError("economy weights must be strictly positive")
         return cls(p.shape[0], lambda v: p @ (sigma * np.conj(np.conj(v) @ p)),
-                   rank=p.shape[1], p=p, sigma=sigma)
+                   p=p, sigma=sigma)
 
     # -- operations ---------------------------------------------------
     def apply(self, v) -> np.ndarray:

@@ -25,7 +25,6 @@ class RankFamilySpec:
     seed: int = 0
     basis_source: str = "random_psd_svd"  # or "range_preserved" (needs A)
     kind: str = HERMITIAN          # matrix class the family targets
-    ranks: list[int] | None = None  # default 1..dim
 
 
 def _complex_gaussian(rng, *shape) -> np.ndarray:
@@ -42,11 +41,12 @@ def _positive_weights(rng, n: int) -> np.ndarray:
 
 
 def _eigenvector_frame(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == COMPLEX_SYMMETRIC:
-        dec = takagi(a)
-    else:
-        dec = hermitian_eig(a)
-    return np.concatenate([dec.u, dec.u_perp], axis=1)
+    """Unitary [U, U_perp] whose leading columns are the U of A's oracle
+    decomposition (eigenvectors, or Takagi vectors for the
+    complex-symmetric kind), completed by a full QR of U."""
+    u = (takagi(a) if kind == COMPLEX_SYMMETRIC else hermitian_eig(a)).u
+    q, _ = np.linalg.qr(u, mode="complete")
+    return np.concatenate([u, q[:, u.shape[1]:]], axis=1)
 
 
 def _basis_matrix(spec: RankFamilySpec, a: np.ndarray | None,
@@ -77,20 +77,14 @@ def _basis_matrix(spec: RankFamilySpec, a: np.ndarray | None,
 
 def make_rank_family(spec: RankFamilySpec,
                      a: np.ndarray | None = None) -> list[Preconditioner]:
-    """Preconditioners M_i = P_i diag(w_1..w_i) P_i^H for a rank schedule i,
-    with the orthonormal columns P drawn from the requested source and
-    strictly positive weights."""
+    """Preconditioners M_i = P_i diag(w_1..w_i) P_i^H for every rank
+    i = 1..dim, with the orthonormal columns P drawn from the requested
+    source and strictly positive weights."""
     rng = rng_for(spec.seed)
     weights = _positive_weights(rng, spec.dim)
     basis = _basis_matrix(spec, a, rng)
-    width = basis.shape[1]
-    ranks = spec.ranks if spec.ranks is not None else list(range(1, width + 1))
-    out = []
-    for i in ranks:
-        if not 1 <= i <= width:
-            raise ValueError(f"rank {i} outside 1..{width}")
-        out.append(Preconditioner.from_economy(basis[:, :i], weights[:i]))
-    return out
+    return [Preconditioner.from_economy(basis[:, :i], weights[:i])
+            for i in range(1, basis.shape[1] + 1)]
 
 
 def make_npc_matrix(d: int = 20, rank: int = 15, r_plus: int = 14,

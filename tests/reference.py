@@ -1,0 +1,105 @@
+"""Dense references that only the tests compare against: the Moore-Penrose
+conditions, the Krylov grade and the truncated SVD of an explicit matrix."""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+from pinv_minres.baselines import BaselineReport
+from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, as_vector
+from pinv_minres.oracle import RANK_RTOL, _as_matrix
+
+MOORE_PENROSE_RTOL = 1e-8
+
+
+def verify_moore_penrose(a, b):
+    """Check the four Moore-Penrose conditions for the candidate inverse b.
+
+    Returns (ok, residuals) where residuals holds the four defect norms
+    scaled by the problem size.
+    """
+    a = _as_matrix(a)
+    b = _as_matrix(b)
+    if b.shape != (a.shape[1], a.shape[0]):
+        raise ValueError("incompatible shapes for Moore-Penrose check")
+    ab = a @ b
+    ba = b @ a
+    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
+    residuals = {
+        "ABA-A": np.linalg.norm(ab @ a - a),
+        "BAB-B": np.linalg.norm(ba @ b - b),
+        "(AB)^H-AB": np.linalg.norm(ab.conj().T - ab),
+        "(BA)^H-BA": np.linalg.norm(ba.conj().T - ba),
+    }
+    ok = all(r <= MOORE_PENROSE_RTOL * scale for r in residuals.values())
+    return ok, residuals
+
+
+def _krylov_dimension(seq_vectors) -> int:
+    """Dimension of the span of an ordered vector sequence: vectors are
+    orthogonalized in order and counting stops at the first dependent one."""
+    basis: list[np.ndarray] = []
+    for vec in seq_vectors:
+        w = vec.astype(np.complex128, copy=True)
+        scale = np.linalg.norm(w)
+        if scale == 0.0:
+            break
+        for q in basis:           # twice for numerical safety
+            w -= q * np.vdot(q, w)
+        for q in basis:
+            w -= q * np.vdot(q, w)
+        nw = np.linalg.norm(w)
+        if nw <= RANK_RTOL * scale:
+            break
+        basis.append(w / nw)
+    return len(basis)
+
+
+def grade(a, b, kind: str = HERMITIAN) -> int:
+    """Grade of b with respect to A: the dimension at which the Krylov
+    subspace (or the Saunders subspace, for the complex-symmetric kind)
+    stops growing."""
+    a = _as_matrix(a)
+    b = as_vector(b, a.shape[0])
+    d = a.shape[0]
+    if kind == COMPLEX_SYMMETRIC:
+        def seq():
+            u = b.copy()            # (A conj(A))^j b
+            w = a @ np.conj(b)      # (A conj(A))^j A conj(b)
+            for _ in range(d + 1):
+                yield u
+                yield w
+                u = a @ np.conj(a @ np.conj(u))
+                w = a @ np.conj(a @ np.conj(w))
+        return _krylov_dimension(seq())
+
+    def seq():
+        v = b.copy()
+        for _ in range(d + 1):
+            yield v
+            v = a @ v
+    return _krylov_dimension(seq())
+
+
+def tsvd_solve(a, b, rank: int) -> BaselineReport:
+    """Truncated-SVD solution sum_k (u_k^H b / s_k) v_k over the ``rank``
+    leading singular triplets of a dense matrix, clamped with a warning to
+    its numerical rank."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = as_vector(b, a.shape[0])
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    numerical = int(np.count_nonzero(s > 1e-12 * smax)) if smax > 0 else 0
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    if rank > numerical:
+        warnings.warn(f"requested rank {rank} exceeds numerical rank "
+                      f"{numerical}; clamping", stacklevel=2)
+        rank = numerical
+    if rank == 0:
+        x = np.zeros(a.shape[1], dtype=np.complex128)
+    else:
+        x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
+    return BaselineReport(x, float(np.linalg.norm(b - a @ x)), 0, rank)

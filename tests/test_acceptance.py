@@ -14,15 +14,15 @@ from pinv_minres.minres_cs import lift_cs, solve_cs
 from pinv_minres.minres_h import SolveOptions, lift, solve, solve_skew
 from pinv_minres.npc_monitor import (attach, check_monotonicity,
                                      verify_identities)
-from pinv_minres.oracle import (check_rank_assumptions, grade, hermitian_eig,
-                                lifted_problem_pinv, pinv, takagi,
-                                verify_moore_penrose)
+from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,
+                                lifted_problem_pinv, pinv, takagi)
 from pinv_minres.pminres import (DenseSubOperator, Preconditioner, plift,
                                  psolve_cs, psolve_h, subsolve)
 from pinv_minres.precon_factory import (RankFamilySpec, make_npc_matrix,
                                         make_npc_suite, make_rank_family)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rand_skew_hermitian, rng_for)
+from reference import grade, verify_moore_penrose
 
 REORTH = SolveOptions(reorthogonalize=True)
 
@@ -83,7 +83,8 @@ def test_criterion_2_complex_symmetric_and_skew_recovery():
 def test_criterion_3_closed_form_preconditioned_example():
     a = DenseOperator(np.diag([1.0, 0.0]), HERMITIAN)
     root = np.array([[2.0, 1.0], [1.0, 1.0]])
-    m = Preconditioner.from_matrix(root @ root)
+    m2 = root @ root
+    m = Preconditioner(2, lambda v: m2 @ v)
     b = np.array([1.0, 1.0], dtype=complex)
     lifted = plift(psolve_h(a, m, b))
     failures = []
@@ -249,8 +250,7 @@ def test_criterion_8_reorthogonalization():
 
     def max_offdiag(reorth):
         opts = SolveOptions(max_iterations=iters, record_trace=True,
-                            reorthogonalize=reorth, eps_zero=1e-14,
-                            normal_residual_target=None)
+                            reorthogonalize=reorth)
         rep = psolve_h(DenseOperator(a, HERMITIAN), m, b, opts)
         betas = [rep.beta1] + rep.trace.betas[:-1]
         v = np.stack([s_pinv @ (w / bt)

@@ -45,12 +45,6 @@ class TestSynthetic:
                        "--csv", str(tmp_path / "x.csv"))
         assert code == EXIT_PROPERTY
 
-    def test_env_seed_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PINV_MINRES_SEED", "17")
-        csv = tmp_path / "env.csv"
-        run_cli("synthetic", "--csv", str(csv))
-        assert '"seed": 17' in csv.read_text().splitlines()[1]
-
 
 class TestUsageErrors:
     def test_unknown_command_exits_one(self, capsys):
@@ -234,10 +228,9 @@ class TestDeblur:
         assert code == EXIT_OK
         assert read_image(out / "minres.pgm").size == 24
 
-    def test_default_experiment_numbers(self, tmp_path, capsys, monkeypatch):
+    def test_default_experiment_numbers(self, tmp_path, capsys):
         # the n = 64 defaults as the experiment stands; a change to the blur,
         # the solvers or the metrics must change these lines on purpose
-        monkeypatch.delenv("PINV_MINRES_SEED", raising=False)
         assert run_cli("deblur", "--outdir", str(tmp_path)) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == [
             "        minres: PSNR  26.068 dB, SSIM 0.7284",

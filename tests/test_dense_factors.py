@@ -64,7 +64,17 @@ def test_factor_is_built_on_access_or_kept_when_given():
     given = Preconditioner.from_factor(s)
     assert given.factor is given.factor
     assert given.factor.s is s
-    assert np.array_equal(Preconditioner.identity(4).factor.s, np.eye(4))
+    eye = Preconditioner.from_economy(np.eye(4), np.ones(4))
+    assert np.array_equal(eye.factor.s, np.eye(4))
+
+
+def test_rank_is_the_width_of_the_economy_basis():
+    # rank(M) is known exactly from the economy pieces, and only from them
+    p, sigma, _ = _basis(12, 5, False, 7)
+    assert Preconditioner.from_economy(p, sigma).rank == 5
+    assert Preconditioner.from_economy(np.eye(4), np.ones(4)).rank == 4
+    assert Preconditioner.from_factor(p * np.sqrt(sigma)).rank is None
+    assert Preconditioner(12, lambda v: v).rank is None
 
 
 def test_economy_holds_no_copy_of_the_basis():

@@ -9,10 +9,12 @@ from pinv_minres.minres_cs import solve_cs
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
                                   TERM_MAX_ITER, SolveOptions, lift, solve,
                                   solve_skew)
-from pinv_minres.oracle import pinv, verify_moore_penrose
-from pinv_minres.pminres import Preconditioner, psolve_cs, psolve_h
+from pinv_minres.oracle import pinv
+from pinv_minres.pminres import (Preconditioner, plift, psolve_cs, psolve_h,
+                                 sublift, subsolve)
 from pinv_minres.synthetic import (rand_hermitian, rand_matrix,
                                    rand_skew_hermitian, rng_for)
+from reference import verify_moore_penrose
 
 EPS = np.finfo(np.float64).eps
 
@@ -271,3 +273,69 @@ class TestDirectionBuffers:
                                * np.linalg.norm(x) / abs(tau))
                         assert np.linalg.norm(dvec - step) <= tol, (name, k)
                     prev = x
+
+
+def _dense_batch_system(seed, k):
+    """System k of the dense-batch benchmark's generator, made Hermitian,
+    and the generator, which draws the system's M next."""
+    rng = np.random.default_rng([seed, k])
+    d = int(rng.integers(20, 61))
+    r = int(rng.integers(d // 2, d))
+    a = rand_matrix(HERMITIAN, d, r, int(rng.integers(2**31)))
+    b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return a, b, rng
+
+
+class TestBetaZeroIsTrue:
+    """beta_zero means r = 0.  On these five systems beta_{t+1} and gamma_t
+    vanish together at t = rank + 1, while the rotated pivot clears its own
+    column's small scale: the step divided by it, and the beta test then
+    zeroed r with ||b - A x|| ~ ||b|| and lifted errors of 2e14-2e15."""
+
+    @pytest.mark.parametrize("seed, k", [(2, 540), (4, 53), (5, 205),
+                                         (5, 543), (5, 565)])
+    def test_joint_breakdown_stops_gamma_zero(self, seed, k):
+        a, b, _ = _dense_batch_system(seed, k)
+        rep = solve(DenseOperator(a, HERMITIAN), b,
+                    SolveOptions(reorthogonalize=True))
+        assert rep.termination == TERM_GAMMA_ZERO
+        assert rel_err(lift(rep.x, rep.r), pinv(a) @ b) <= 1e-6
+
+    @pytest.mark.parametrize("path, seed, k", [
+        ("psolve_h", 8, 47), ("subsolve", 7, 239), ("subsolve", 8, 47)])
+    def test_preconditioned_and_reduced_paths_have_it(self, path, seed, k):
+        # the generator's generic M of the same draw; these stopped beta_zero
+        # with ||S^H (b - A x)|| of 0.8-1.6 ||S^H b||
+        a, b, rng = _dense_batch_system(seed, k)
+        d, r = a.shape[0], np.linalg.matrix_rank(a)
+        m_rank = int(rng.integers(r + (d - r) // 2, d + 1))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        m = Preconditioner.from_economy(q[:, :m_rank],
+                                        rng.uniform(0.5, 2.0, m_rank))
+        op, s, opts = DenseOperator(a, HERMITIAN), m.factor, SolveOptions(
+            reorthogonalize=True)
+        rep = (psolve_h(op, m, b, opts) if path == "psolve_h"
+               else subsolve(op, s, b, opts))
+        sh = s.s.conj().T
+        if rep.termination == TERM_BETA_ZERO:
+            assert (np.linalg.norm(sh @ (b - a @ rep.x))
+                    <= 1e-6 * np.linalg.norm(sh @ b))
+        target = s.s @ (pinv(sh @ a @ s.s) @ (sh @ b))
+        lifted = plift(rep) if path == "psolve_h" else sublift(rep, s)
+        assert rel_err(lifted, target) <= 1e-6
+
+    def test_no_false_beta_zero_on_generator_sample(self):
+        # generic b (inconsistent) and its part in range(A) (consistent,
+        # where beta_zero is the true stop)
+        stops = 0
+        for k in range(60):
+            a, b, _ = _dense_batch_system(1, k)
+            op = DenseOperator(a, HERMITIAN)
+            for rhs in (b, a @ (pinv(a) @ b)):
+                rep = solve(op, rhs, SolveOptions(reorthogonalize=True))
+                if rep.termination == TERM_BETA_ZERO:
+                    stops += 1
+                    assert (np.linalg.norm(rhs - a @ rep.x)
+                            <= 1e-6 * np.linalg.norm(rhs)), k
+        assert stops > 0

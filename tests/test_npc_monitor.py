@@ -41,7 +41,7 @@ class TestDetection:
         # A = diag(1, -1), b = [1, 1]: alpha_1 = 0, so the very first
         # curvature is zero and the condition fires at t = 1
         a = np.diag([1.0, -1.0]).astype(complex)
-        m = Preconditioner.identity(2)
+        m = Preconditioner.from_economy(np.eye(2), np.ones(2))
         _, rep, cert, monot = run_monitored(a, m, np.array([1.0, 1.0],
                                                            dtype=complex))
         assert cert.detected and cert.iteration == 1
@@ -100,7 +100,7 @@ class TestAttachPreconditions:
     def test_rejects_complex_symmetric_solve(self):
         a = rand_complex_symmetric(8, 6, seed=511)
         op = DenseOperator(a, COMPLEX_SYMMETRIC)
-        m = Preconditioner.identity(8)
+        m = Preconditioner.from_economy(np.eye(8), np.ones(8))
         rep = psolve_cs(op, m, np.ones(8), TRACED)
         with pytest.raises(ValueError):
             attach(rep, op, m, np.ones(8, dtype=complex))
@@ -108,7 +108,7 @@ class TestAttachPreconditions:
     def test_rejects_unpreconditioned_or_untraced(self):
         a = rand_hermitian(6, 6, seed=512, indefinite=False)
         op = DenseOperator(a, HERMITIAN)
-        m = Preconditioner.identity(6)
+        m = Preconditioner.from_economy(np.eye(6), np.ones(6))
         rep = psolve_h(op, m, np.ones(6), SolveOptions())   # no trace
         with pytest.raises(ValueError):
             attach(rep, op, m, np.ones(6, dtype=complex))
@@ -132,7 +132,7 @@ class TestVerifyIdentities:
 
     def test_energy_identity_on_singular_diagonal(self):
         a = np.diag([1.0, 0.0]).astype(complex)
-        m = Preconditioner.identity(2)
+        m = Preconditioner.from_economy(np.eye(2), np.ones(2))
         b = np.array([1.0, 1.0], dtype=complex)
         op, rep, cert, monot = run_monitored(a, m, b)
         for t, rhat in enumerate(rep.trace.rhats):
@@ -140,7 +140,7 @@ class TestVerifyIdentities:
 
     def test_corrupted_trace_is_flagged(self):
         a = rand_hermitian(12, 12, seed=523, indefinite=False)
-        m = Preconditioner.identity(12)
+        m = Preconditioner.from_economy(np.eye(12), np.ones(12))
         b = rng_for(524).standard_normal(12) + 0j
         op, rep, cert, monot = run_monitored(a, m, b)
         broken = copy.deepcopy(rep)

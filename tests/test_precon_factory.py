@@ -4,13 +4,26 @@ import pytest
 from conftest import rel_err
 from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
 from pinv_minres.minres_h import SolveOptions
-from pinv_minres.oracle import (check_rank_assumptions, numerical_rank, pinv)
+from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,
+                                numerical_rank, pinv, takagi)
 from pinv_minres.pminres import plift, psolve_h
-from pinv_minres.precon_factory import (RankFamilySpec, make_npc_matrix,
-                                        make_npc_suite, make_rank_family,
-                                        run_error_sweep)
+from pinv_minres.precon_factory import (RankFamilySpec, _eigenvector_frame,
+                                        make_npc_matrix, make_npc_suite,
+                                        make_rank_family, run_error_sweep)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rng_for)
+
+
+@pytest.mark.parametrize("kind, gen, oracle", [
+    (HERMITIAN, rand_hermitian, hermitian_eig),
+    (COMPLEX_SYMMETRIC, rand_complex_symmetric, takagi)])
+@pytest.mark.parametrize("d, r", [(12, 7), (9, 9), (6, 1)])
+def test_eigenvector_frame_is_unitary_and_leads_with_u(kind, gen, oracle, d, r):
+    a = gen(d, r, seed=420 + d)
+    frame = _eigenvector_frame(a, kind)
+    assert frame.shape == (d, d)
+    assert np.allclose(frame.conj().T @ frame, np.eye(d), atol=1e-12)
+    assert np.array_equal(frame[:, :r], oracle(a).u)
 
 
 class TestMakeRankFamily:
@@ -143,9 +156,7 @@ class TestRunErrorSweep:
 
     def test_csv_rows_match_schema(self):
         a = rand_hermitian(8, 5, seed=413)
-        spec = RankFamilySpec(dim=8, seed=14, basis_source="random_psd_svd",
-                              ranks=[1, 4, 8])
+        spec = RankFamilySpec(dim=8, seed=14, basis_source="random_psd_svd")
         rows = run_error_sweep(a, np.ones(8, dtype=complex),
                                make_rank_family(spec, a))
-        assert len(rows) == 3
-        assert [r.rank for r in rows] == [1, 4, 8]
+        assert [r.rank for r in rows] == list(range(1, 9))
