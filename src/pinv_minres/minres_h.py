@@ -368,7 +368,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
 
         col = abs(alpha) + beta + beta_next
-        tnorm = max(tnorm, col)   # running estimate of ||T||
+        # running estimate of ||T||; beta_1 is ||b||, not an entry of T
+        tnorm = max(tnorm, col if t > 1 else abs(alpha) + beta_next)
         if (gamma2 <= EPS_ZERO * col
                 or (beta_next <= EPS_ZERO * beta1
                     and abs(gamma_pre) <= EPS_ZERO * tnorm)):

@@ -252,6 +252,9 @@ def test_criterion_8_reorthogonalization():
         opts = SolveOptions(max_iterations=iters, record_trace=True,
                             reorthogonalize=reorth)
         rep = psolve_h(DenseOperator(a, HERMITIAN), m, b, opts)
+        if rep.iterations != iters:
+            failures.append(f"reorth={reorth} stopped at {rep.iterations} "
+                            f"< {iters} iterations")
         betas = [rep.beta1] + rep.trace.betas[:-1]
         v = np.stack([s_pinv @ (w / bt)
                       for w, bt in zip(rep.trace.ws, betas)], axis=1)

@@ -339,3 +339,31 @@ class TestBetaZeroIsTrue:
                     assert (np.linalg.norm(rhs - a @ rep.x)
                             <= 1e-6 * np.linalg.norm(rhs)), k
         assert stops > 0
+
+    # The joint test measures |gamma_t| against ||T||, which scales with A;
+    # beta_1 = ||b|| is not an entry of T.  Counting it in made the test
+    # fire on these consistent systems once ||A|| << ||b||, freezing x one
+    # step short of A^+ b.  (The beta test itself is still relative to
+    # beta_1: ROADMAP item 1.)
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
+    def test_joint_test_is_relative_to_a(self, scale):
+        a = scale * np.diag([1.0, 1e-5])
+        b = np.array([1.0, 1.0])
+        rep = solve(DenseOperator(a, HERMITIAN), b)
+        assert rep.termination == TERM_BETA_ZERO
+        assert rel_err(rep.x, b / np.diag(a)) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
+    @pytest.mark.parametrize("seed, r", [(0, 2), (1, 3), (2, 3)])
+    def test_consistent_kappa_1e5_is_scale_free(self, seed, r, scale):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((r + 1, r + 1))
+                            + 1j * rng.standard_normal((r + 1, r + 1)))
+        u = q[:, :r]
+        ev = scale * np.logspace(0, -5, r) * np.array([1, -1, 1])[:r]
+        b = u @ (u.conj().T @ (rng.standard_normal(r + 1)
+                               + 1j * rng.standard_normal(r + 1)))
+        rep = solve(DenseOperator((u * ev) @ u.conj().T, HERMITIAN), b)
+        assert rep.termination == TERM_BETA_ZERO
+        assert rep.iterations == r
+        assert rel_err(rep.x, (u / ev) @ (u.conj().T @ b)) <= 1e-9

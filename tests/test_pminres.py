@@ -370,6 +370,7 @@ class TestReorthogonalization:
         opts = SolveOptions(max_iterations=iters, record_trace=True,
                             reorthogonalize=reorth)
         rep = psolve_h(DenseOperator(a, HERMITIAN), m, b, opts)
+        assert rep.iterations == iters      # the Gram covers the whole run
         s_pinv = np.linalg.pinv(m.factor.s)
         betas = [rep.beta1] + rep.trace.betas[:-1]
         v = np.stack([s_pinv @ (w / bt)
