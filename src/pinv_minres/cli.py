@@ -34,8 +34,8 @@ from .npc_monitor import attach, check_monotonicity, verify_identities
 from .oracle import pinv
 from .pminres import (DenseSubOperator, Preconditioner, psolve_cs, psolve_h,
                       subsolve)
-from .precon_factory import (RankFamilySpec, make_npc_matrix, make_npc_suite,
-                             make_rank_family, run_error_sweep)
+from .precon_factory import (make_npc_matrix, make_npc_suite, make_rank_family,
+                             run_error_sweep)
 from .synthetic import rand_matrix, rng_for
 
 CSV_SCHEMA = "pinv-minres-csv v1"
@@ -132,9 +132,7 @@ def cmd_precon_sweep(args):
         b_norm = float(np.linalg.norm(b))
         for family_name, source in (("non_range_preserved", "random_psd_svd"),
                                     ("range_preserved", "range_preserved")):
-            spec = RankFamilySpec(dim=args.d, seed=args.seed + 1,
-                                  basis_source=source, kind=kind)
-            family = make_rank_family(spec, a)
+            family = make_rank_family(a, kind, args.seed + 1, source)
             sweep = run_error_sweep(a, b, family, kind)
             weight_scale = max(float(m.sigma.max()) for m in family)
             for row in sweep:

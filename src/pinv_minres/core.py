@@ -191,18 +191,6 @@ class LinearOperator:
         # complex symmetric: A^H = conj(A), so A^H v = conj(A conj(v))
         return np.conj(self.apply(np.conj(v)))
 
-    def matrix(self) -> np.ndarray:
-        """Materialize the dense matrix (dense regime, d <= 4096)."""
-        if self.dim > 4096:
-            raise ValueError("refusing to materialize operator with d > 4096")
-        cols = np.empty((self.dim, self.dim), dtype=np.complex128)
-        e = np.zeros(self.dim, dtype=np.complex128)
-        for j in range(self.dim):
-            e[j] = 1.0
-            cols[:, j] = self.apply(e)
-            e[j] = 0.0
-        return cols
-
 
 class DenseOperator(LinearOperator):
     """Dense-matrix fallback operator (for oracle tests and small problems)."""

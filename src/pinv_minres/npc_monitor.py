@@ -59,8 +59,11 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
         raise ValueError("the curvature monitor applies to preconditioned "
                          "hermitian solves only")
     trace = report.trace
-    if trace is None or not trace.iterates:
+    if trace is None:
         raise ValueError("the solve must be run with record_trace enabled")
+    if not trace.iterates:
+        raise ValueError(f"the solve made no iteration (it stopped "
+                         f"{report.termination!r}); there is nothing to monitor")
     b = as_vector(b, a.dim)
     steps = len(trace.iterates)
 

@@ -29,52 +29,35 @@ from .minres_h import (NotPositiveSemidefinite, ReorthBuffer, SolveOptions,
 
 
 class Preconditioner:
-    """PSD operator M, optionally carrying a factor M = S S^H.
+    """PSD operator M, held as its economy pieces or as a bare apply
+    function.
 
     The economy pieces (orthonormal ``p``, positive ``sigma`` with
-    M = P diag(sigma) P^H) are kept when known; they give exact ranks,
-    pseudo-inverses and range projections for the oracle-facing checks.
-    The basis ``p`` (or the factor's ``s``) is held once, by reference,
+    M = P diag(sigma) P^H, built by ``from_economy``) give the rank, the
+    factor M = S S^H, the matrix and its pseudo-inverse; a bare apply
+    function gives M v alone.  The basis ``p`` is held once, by reference,
     with no conjugate-transpose copy beside it.
     """
 
     def __init__(self, dim: int, apply_fn, *,
-                 p: np.ndarray | None = None, sigma: np.ndarray | None = None,
-                 factor: "SubOperator | None" = None):
+                 p: np.ndarray | None = None, sigma: np.ndarray | None = None):
         self.dim = int(dim)
         self._apply = apply_fn
         self.p = p
         self.sigma = None if sigma is None else np.asarray(sigma, dtype=np.float64)
-        self._factor = factor
-        self._mat = None
 
     @property
     def rank(self) -> int | None:
-        """rank(M) when the economy pieces are known (the width of ``p``),
-        else None."""
+        """rank(M), the width of ``p``; None for a bare apply function."""
         return None if self.p is None else self.p.shape[1]
 
     @property
-    def factor(self) -> "SubOperator | None":
-        """A factor S with M = S S^H: the one given to ``from_factor``, or
-        else, when the economy pieces are known, S = P diag(sqrt(sigma)),
-        built anew on each access and not kept, so a preconditioner holds
-        its basis once; None for a bare apply function.  Bind it once where
-        it is used more than once."""
-        if self._factor is not None or self.p is None:
-            return self._factor
-        return DenseSubOperator(self.p * np.sqrt(self.sigma))
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def from_factor(cls, s) -> "Preconditioner":
-        """M = S S^H for a dense d x m factor S, held once and by reference
-        (a complex128 S is not copied): S^H v is taken as
-        conj(conj(v) S), so no conjugate transpose is stored."""
-        factor = DenseSubOperator(s)
-        s = factor.s
-        return cls(s.shape[0], lambda v: s @ np.conj(np.conj(v) @ s),
-                   factor=factor)
+    def factor(self) -> "DenseSubOperator | None":
+        """The factor S = P diag(sqrt(sigma)) with M = S S^H, built anew on
+        each access and not kept, so a preconditioner holds its basis once;
+        None for a bare apply function.  Bind it once where it is used more
+        than once."""
+        return None if self.p is None else DenseSubOperator(self.p * np.sqrt(self.sigma))
 
     @classmethod
     def from_economy(cls, p, sigma) -> "Preconditioner":
@@ -92,7 +75,6 @@ class Preconditioner:
         return cls(p.shape[0], lambda v: p @ (sigma * np.conj(np.conj(v) @ p)),
                    p=p, sigma=sigma)
 
-    # -- operations ---------------------------------------------------
     def apply(self, v) -> np.ndarray:
         """M v, never in memory of v: the recurrence divides v in place
         after this product."""
@@ -101,29 +83,12 @@ class Preconditioner:
         return out.copy() if np.may_share_memory(out, v) else out
 
     def matrix(self) -> np.ndarray:
-        if self._mat is None:
-            if self.p is not None:
-                self._mat = (self.p * self.sigma) @ self.p.conj().T
-            elif isinstance(self.factor, DenseSubOperator):
-                s = self.factor.s
-                self._mat = s @ s.conj().T
-            else:
-                cols = np.eye(self.dim, dtype=np.complex128)
-                self._mat = np.stack([self.apply(cols[:, j])
-                                      for j in range(self.dim)], axis=1)
-        return self._mat
+        """M = P diag(sigma) P^H, formed on each call."""
+        return (self.p * self.sigma) @ self.p.conj().T
 
     def pinv_matrix(self) -> np.ndarray:
-        if self.p is not None:
-            return (self.p / self.sigma) @ self.p.conj().T
-        return np.linalg.pinv(self.matrix(), rcond=1e-12, hermitian=True)
-
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis of range(M)."""
-        if self.p is not None:
-            return self.p
-        from .oracle import hermitian_eig
-        return hermitian_eig(self.matrix()).u
+        """M^+ = P diag(1/sigma) P^H, formed on each call."""
+        return (self.p / self.sigma) @ self.p.conj().T
 
 
 class SubOperator:

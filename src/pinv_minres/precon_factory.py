@@ -19,14 +19,6 @@ from .pminres import Preconditioner, plift, psolve_cs, psolve_h
 from .synthetic import rng_for
 
 
-@dataclass
-class RankFamilySpec:
-    dim: int
-    seed: int = 0
-    basis_source: str = "random_psd_svd"  # or "range_preserved" (needs A)
-    kind: str = HERMITIAN          # matrix class the family targets
-
-
 def _complex_gaussian(rng, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -49,40 +41,38 @@ def _eigenvector_frame(a: np.ndarray, kind: str) -> np.ndarray:
     return np.concatenate([u, q[:, u.shape[1]:]], axis=1)
 
 
-def _basis_matrix(spec: RankFamilySpec, a: np.ndarray | None,
+def _basis_matrix(a: np.ndarray, kind: str, basis_source: str,
                   rng: np.random.Generator) -> np.ndarray:
-    d = spec.dim
-    source = spec.basis_source
-    if source == "random_psd_svd":
-        frame = None if a is None else _eigenvector_frame(a, spec.kind)
+    d = a.shape[0]
+    if basis_source == "random_psd_svd":
+        frame = _eigenvector_frame(a, kind)
         for _ in range(64):
             g = _complex_gaussian(rng, d, d)
             u, _, _ = np.linalg.svd(g @ g.conj().T)
-            if frame is None or np.min(np.abs(frame.conj().T @ u)) >= 1e-6:
+            if np.min(np.abs(frame.conj().T @ u)) >= 1e-6:
                 return u
         raise RuntimeError("rejection sampling for a generic basis failed")
-    if source == "range_preserved":
-        if a is None:
-            raise ValueError("range_preserved basis requires the dense matrix")
+    if basis_source == "range_preserved":
         g = _complex_gaussian(rng, d, d)
         c = g @ g.conj().T
-        target = np.conj(a) if spec.kind == COMPLEX_SYMMETRIC else a
+        target = np.conj(a) if kind == COMPLEX_SYMMETRIC else a
         prod = target @ c
         if numerical_rank(prod) != numerical_rank(target):
             raise RuntimeError("random PSD factor lost rank; retry with a new seed")
         u, _, _ = np.linalg.svd(prod)
         return u
-    raise ValueError(f"unknown basis source {source!r}")
+    raise ValueError(f"unknown basis source {basis_source!r}")
 
 
-def make_rank_family(spec: RankFamilySpec,
-                     a: np.ndarray | None = None) -> list[Preconditioner]:
+def make_rank_family(a: np.ndarray, kind: str, seed: int,
+                     basis_source: str) -> list[Preconditioner]:
     """Preconditioners M_i = P_i diag(w_1..w_i) P_i^H for every rank
-    i = 1..dim, with the orthonormal columns P drawn from the requested
-    source and strictly positive weights."""
-    rng = rng_for(spec.seed)
-    weights = _positive_weights(rng, spec.dim)
-    basis = _basis_matrix(spec, a, rng)
+    i = 1..d of the d x d matrix ``a``, with the orthonormal columns P drawn
+    from ``basis_source`` ("random_psd_svd" or "range_preserved") and
+    strictly positive weights."""
+    rng = rng_for(seed)
+    weights = _positive_weights(rng, a.shape[0])
+    basis = _basis_matrix(a, kind, basis_source, rng)
     return [Preconditioner.from_economy(basis[:, :i], weights[:i])
             for i in range(1, basis.shape[1] + 1)]
 
@@ -109,7 +99,9 @@ def make_npc_suite(a: np.ndarray, u_plus: np.ndarray, u_minus: np.ndarray,
                    seed: int = 0) -> dict[str, Preconditioner]:
     """The four preconditioners of the curvature experiment.
 
-    M1: S S^H for a real Gaussian sketch S with rank(A) columns.
+    M1: S S^T for a real Gaussian sketch S with rank(A) columns, held as
+        the economy pieces of the thin SVD S = U diag(s) V^T: P = U,
+        sigma = s^2.
     M2: positive definite, d random positive eigenvalues.
     M3: rank(A) positive eigenvalues (shared with M2), range equal to
         range(A) via P = [U_plus, u_minus].
@@ -120,8 +112,8 @@ def make_npc_suite(a: np.ndarray, u_plus: np.ndarray, u_minus: np.ndarray,
     r_plus = u_plus.shape[1]
     r = r_plus + u_minus.shape[1]
     rng = rng_for(seed)
-    s1 = rng.standard_normal((d, r))
-    m1 = Preconditioner.from_factor(s1)
+    u, sv, _ = np.linalg.svd(rng.standard_normal((d, r)), full_matrices=False)
+    m1 = Preconditioner.from_economy(u, sv**2)
     eigs = _positive_weights(rng, d)
     q, _ = np.linalg.qr(_complex_gaussian(rng, d, d))
     m2 = Preconditioner.from_economy(q, eigs)
@@ -170,7 +162,7 @@ def run_error_sweep(a: np.ndarray, b: np.ndarray,
         x_g = rep.x
         x_hat = plift(rep)
         r_g = b - a @ x_g
-        p = m.range_basis()
+        p = m.p
         target = lifted_problem_pinv(a, p, b, kind)
         nt = np.linalg.norm(target)
         if kind == COMPLEX_SYMMETRIC:
@@ -181,7 +173,7 @@ def run_error_sweep(a: np.ndarray, b: np.ndarray,
             am_r = a @ rhat_true
         flags = check_rank_assumptions(a, p, kind)
         rows.append(ErrorRow(
-            rank=m.rank if m.rank is not None else numerical_rank(m.matrix()),
+            rank=m.rank,
             e_x=float(np.linalg.norm(x_g - xd) / nxd),
             e_x_hat=float(np.linalg.norm(x_hat - xd) / nxd),
             e_r=float(np.linalg.norm(r_g - rd) / nrd),

@@ -18,8 +18,8 @@ from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,
                                 lifted_problem_pinv, pinv, takagi)
 from pinv_minres.pminres import (DenseSubOperator, Preconditioner, plift,
                                  psolve_cs, psolve_h, subsolve)
-from pinv_minres.precon_factory import (RankFamilySpec, make_npc_matrix,
-                                        make_npc_suite, make_rank_family)
+from pinv_minres.precon_factory import (make_npc_matrix, make_npc_suite,
+                                        make_rank_family)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rand_skew_hermitian, rng_for)
 from reference import grade, verify_moore_penrose
@@ -137,13 +137,11 @@ def test_criterion_5_rank_assumption_theorems():
         b = np.ones(d, dtype=complex)
         a_norm = np.linalg.norm(a, 2)
         xd = pinv(a) @ b
-        spec = RankFamilySpec(dim=d, seed=15_100, kind=kind,
-                              basis_source="range_preserved")
-        family = make_rank_family(spec, a)
+        family = make_rank_family(a, kind, 15_100, "range_preserved")
         psolver = psolve_h if kind == HERMITIAN else psolve_cs
         for i, m in enumerate(family, start=1):
             rep = psolver(DenseOperator(a, kind), m, b, opts)
-            p = m.range_basis()
+            p = m.p
             flags = check_rank_assumptions(a, p, kind)
             scale = float(m.sigma.max()) * np.linalg.norm(b)
             tag = f"{kind} i={i}"

@@ -139,18 +139,6 @@ class TestAdjointApply:
         assert np.allclose(op.apply_adjoint(v), a.conj().T @ v, atol=1e-13)
         assert np.allclose(op.apply_conj(v), a @ np.conj(v), atol=1e-13)
 
-    def test_matrix_materialization(self, rng):
-        z = rng.standard_normal((3, 3))
-        z = z + z.T
-        op = KroneckerOperator(z)
-        assert np.allclose(op.matrix(), np.kron(z, z), atol=1e-13)
-        # a product with a unit vector is exact, so the base class returns
-        # a dense matrix and the blur's band bit for bit
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert np.array_equal(DenseOperator(a, HERMITIAN).matrix(), a)
-        blur = GaussianBlurToeplitz(12, 5, 2.0)
-        assert np.array_equal(blur.matrix(), blur.z)
-
 
 class TestNormShortcut:
     """``norm`` skips the ``np.linalg.norm`` dispatch for 1-D float64 and

@@ -1,11 +1,11 @@
 """The dense preconditioner and sub-factor products hold their matrix once.
 
-``from_economy``, ``from_factor`` and ``DenseSubOperator.apply_adjoint``
-take P^H v (S^H v) as conj(conj(v) P) instead of through a stored or
-per-call conjugate transpose.  These tests pin that this is bitwise the
-product of the conjugate transpose, for contiguous bases and for column
-views of a square one, and that ``from_economy`` keeps nothing of the
-basis's size beside the basis itself."""
+``from_economy`` and ``DenseSubOperator.apply_adjoint`` take P^H v (S^H v)
+as conj(conj(v) P) instead of through a stored or per-call conjugate
+transpose.  These tests pin that this is bitwise the product of the
+conjugate transpose, for contiguous bases and for column views of a square
+one, and that ``from_economy`` keeps nothing of the basis's size beside the
+basis itself."""
 
 import tracemalloc
 
@@ -38,10 +38,12 @@ class TestBitwiseProducts:
                               expect)
 
     def test_factor_apply(self, d, m, view):
+        # S (S^H v) through the factor that M hands to the reduced solve
         p, sigma, v = _basis(d, m, view, 10 * d + m + 1)
         s = p * np.sqrt(sigma)
         expect = s @ (s.conj().T @ v)
-        assert np.array_equal(Preconditioner.from_factor(s).apply(v), expect)
+        factor = Preconditioner.from_economy(p, sigma).factor
+        assert np.array_equal(factor.apply(factor.apply_adjoint(v)), expect)
 
     def test_sub_operator_adjoint_and_transpose(self, d, m, view):
         p, sigma, v = _basis(d, m, view, 10 * d + m + 2)
@@ -56,24 +58,11 @@ class TestBitwiseProducts:
         assert np.array_equal(m_op.factor.s, p * np.sqrt(sigma))
 
 
-def test_factor_is_built_on_access_or_kept_when_given():
-    p, sigma, _ = _basis(12, 5, False, 7)
-    economy = Preconditioner.from_economy(p, sigma)
-    assert economy.factor is not economy.factor
-    s = p * np.sqrt(sigma)
-    given = Preconditioner.from_factor(s)
-    assert given.factor is given.factor
-    assert given.factor.s is s
-    eye = Preconditioner.from_economy(np.eye(4), np.ones(4))
-    assert np.array_equal(eye.factor.s, np.eye(4))
-
-
 def test_rank_is_the_width_of_the_economy_basis():
     # rank(M) is known exactly from the economy pieces, and only from them
     p, sigma, _ = _basis(12, 5, False, 7)
     assert Preconditioner.from_economy(p, sigma).rank == 5
     assert Preconditioner.from_economy(np.eye(4), np.ones(4)).rank == 4
-    assert Preconditioner.from_factor(p * np.sqrt(sigma)).rank is None
     assert Preconditioner(12, lambda v: v).rank is None
 
 

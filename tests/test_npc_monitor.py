@@ -70,7 +70,7 @@ class TestDetection:
             _, rep, cert, monot = run_monitored(a, m,
                                                 np.ones(20, dtype=complex))
             assert cert.detected
-            p = m.range_basis()
+            p = m.p
             d = cert.direction
             out_of_range = d - p @ (p.conj().T @ d)
             assert np.linalg.norm(out_of_range) <= 1e-8 * np.linalg.norm(d)
@@ -84,6 +84,23 @@ class TestDetection:
             assert cert.detected and cert.iteration < rep.iterations
         _, rep, cert, _ = run_monitored(a, suite["M4"], b)
         assert not cert.detected or cert.iteration >= rep.iterations
+
+    # (iterations, NPC step) at the CLI defaults d = 20, rank 15, r+ 14
+    PINNED = {0: {"M1": (15, 12), "M2": (16, 10), "M3": (15, 8), "M4": (14, None)},
+              1: {"M1": (15, 9), "M2": (16, 9), "M3": (15, 14), "M4": (14, None)},
+              2: {"M1": (15, 9), "M2": (16, 10), "M3": (15, 5), "M4": (14, None)},
+              3: {"M1": (15, 11), "M2": (16, 9), "M3": (15, 6), "M4": (14, None)}}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_suite_outcomes_are_pinned(self, seed):
+        a, u_plus, u_minus = make_npc_matrix(seed=seed)
+        suite = make_npc_suite(a, u_plus, u_minus, seed=seed + 1)
+        b = np.ones(20, dtype=complex)
+        outcomes = {}
+        for name, m in suite.items():
+            _, rep, cert, _ = run_monitored(a, m, b)
+            outcomes[name] = (rep.iterations, cert.iteration)
+        assert outcomes == self.PINNED[seed]
 
     def test_lambda_min_sign_pattern(self):
         a, u_plus, u_minus = make_npc_matrix(seed=6)
@@ -116,6 +133,17 @@ class TestAttachPreconditions:
                                        COMPLEX_SYMMETRIC), np.ones(6), TRACED)
         with pytest.raises(ValueError):
             attach(plain, op, m, np.ones(6, dtype=complex))
+
+    def test_zero_iteration_solve_is_named_as_such(self):
+        # b = e2 is orthogonal to range(M) = span(e1): the solve stops
+        # before its first iteration, with the trace recorded but empty
+        op = DenseOperator(np.eye(2), HERMITIAN)
+        m = Preconditioner.from_economy(np.eye(2)[:, :1], np.ones(1))
+        b = np.array([0.0, 1.0], dtype=complex)
+        rep = psolve_h(op, m, b, TRACED)
+        assert (rep.termination, rep.iterations) == ("b_in_null_m", 0)
+        with pytest.raises(ValueError, match="made no iteration"):
+            attach(rep, op, m, b)
 
 
 class TestVerifyIdentities:

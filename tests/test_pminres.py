@@ -127,7 +127,7 @@ class TestPsolveH:
         rep = psolve_h(DenseOperator(a, HERMITIAN), m, b,
                        SolveOptions(record_trace=True, reorthogonalize=True))
         mm = m.matrix()
-        p = m.range_basis()
+        p = m.p
         pph = p @ p.conj().T
         scale = np.linalg.norm(b) * np.linalg.norm(a, 2) * np.linalg.norm(mm, 2)
         tr = rep.trace

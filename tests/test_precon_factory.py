@@ -7,9 +7,9 @@ from pinv_minres.minres_h import SolveOptions
 from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,
                                 numerical_rank, pinv, takagi)
 from pinv_minres.pminres import plift, psolve_h
-from pinv_minres.precon_factory import (RankFamilySpec, _eigenvector_frame,
-                                        make_npc_matrix, make_npc_suite,
-                                        make_rank_family, run_error_sweep)
+from pinv_minres.precon_factory import (_eigenvector_frame, make_npc_matrix,
+                                        make_npc_suite, make_rank_family,
+                                        run_error_sweep)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rng_for)
 
@@ -29,17 +29,16 @@ def test_eigenvector_frame_is_unitary_and_leads_with_u(kind, gen, oracle, d, r):
 class TestMakeRankFamily:
     def test_full_rank_random_basis_is_positive_definite(self):
         a = rand_hermitian(12, 8, seed=401)
-        spec = RankFamilySpec(dim=12, seed=1, basis_source="random_psd_svd")
-        family = make_rank_family(spec, a)
+        family = make_rank_family(a, HERMITIAN, 1, "random_psd_svd")
         assert len(family) == 12
         full = family[-1]
         assert full.rank == 12
         assert np.linalg.eigvalsh(full.matrix()).min() > 0
-        assert check_rank_assumptions(a, full.range_basis())["a_holds"]
+        assert check_rank_assumptions(a, full.p)["a_holds"]
 
     def test_every_member_is_psd_with_exact_rank(self):
-        spec = RankFamilySpec(dim=10, seed=2, basis_source="random_psd_svd")
-        family = make_rank_family(spec)
+        a = rand_hermitian(10, 6, seed=404)
+        family = make_rank_family(a, HERMITIAN, 2, "random_psd_svd")
         for i, m in enumerate(family, start=1):
             mat = m.matrix()
             scale = np.linalg.norm(mat, 2)
@@ -49,8 +48,8 @@ class TestMakeRankFamily:
             assert np.all(m.sigma > 0)
 
     def test_factored_and_unfactored_agree(self, rng):
-        spec = RankFamilySpec(dim=9, seed=3, basis_source="random_psd_svd")
-        for m in make_rank_family(spec)[::3]:
+        a = rand_hermitian(9, 5, seed=405)
+        for m in make_rank_family(a, HERMITIAN, 3, "random_psd_svd")[::3]:
             v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
             via_factor = m.factor.apply(m.factor.apply_adjoint(v))
             assert np.linalg.norm(m.apply(v) - via_factor) <= \
@@ -58,10 +57,9 @@ class TestMakeRankFamily:
 
     def test_range_preserved_at_full_rank_recovers_pseudo_inverse(self):
         a = rand_hermitian(14, 9, seed=402)
-        spec = RankFamilySpec(dim=14, seed=4, basis_source="range_preserved")
-        family = make_rank_family(spec, a)
+        family = make_rank_family(a, HERMITIAN, 4, "range_preserved")
         m = family[8]          # i = rank(A) = 9
-        p = m.range_basis()
+        p = m.p
         # P P^H is the orthogonal projector onto range(A)
         u = np.linalg.svd(a)[0][:, :9]
         assert np.linalg.norm(p @ p.conj().T - u @ u.conj().T) <= 1e-8
@@ -72,20 +70,14 @@ class TestMakeRankFamily:
 
     def test_range_preserved_low_rank_satisfies_assumption_b(self):
         a = rand_hermitian(14, 9, seed=403)
-        spec = RankFamilySpec(dim=14, seed=5, basis_source="range_preserved")
-        family = make_rank_family(spec, a)
-        flags = check_rank_assumptions(a, family[4].range_basis())
+        family = make_rank_family(a, HERMITIAN, 5, "range_preserved")
+        flags = check_rank_assumptions(a, family[4].p)
         assert flags["b_holds"] and not flags["a_holds"]
 
-    def test_sources_requiring_dense_matrix(self):
-        spec = RankFamilySpec(dim=6, seed=6, basis_source="range_preserved")
-        with pytest.raises(ValueError):
-            make_rank_family(spec, None)
-
     def test_reproducible_given_seed(self):
-        spec = RankFamilySpec(dim=8, seed=7, basis_source="random_psd_svd")
-        m1 = make_rank_family(spec)[3].matrix()
-        m2 = make_rank_family(spec)[3].matrix()
+        a = rand_hermitian(8, 5, seed=406)
+        m1 = make_rank_family(a, HERMITIAN, 7, "random_psd_svd")[3].matrix()
+        m2 = make_rank_family(a, HERMITIAN, 7, "random_psd_svd")[3].matrix()
         assert np.array_equal(m1, m2)
 
 
@@ -106,11 +98,11 @@ class TestNpcSuite:
         assert np.linalg.eigvalsh(self.suite["M2"].matrix()).min() > 0
 
     def test_m4_range_orthogonal_to_negative_direction(self):
-        p = self.suite["M4"].range_basis()
+        p = self.suite["M4"].p
         assert np.abs(self.u_minus.conj().T @ p).max() <= 1e-12
 
     def test_m3_projected_matrix_keeps_inertia(self):
-        p = self.suite["M3"].range_basis()
+        p = self.suite["M3"].p
         pph = p @ p.conj().T
         lam = np.linalg.eigvalsh(pph @ self.a @ pph)
         assert np.count_nonzero(lam > 1e-8) == 14
@@ -118,6 +110,30 @@ class TestNpcSuite:
 
     def test_m1_factor_shape(self):
         assert self.suite["M1"].factor.s.shape == (20, 15)
+
+    def test_m1_is_the_gram_matrix_of_its_sketch(self):
+        # the sketch is the suite's first draw from its seed
+        s1 = rng_for(1).standard_normal((20, 15))
+        assert rel_err(self.suite["M1"].matrix(), s1 @ s1.T) <= 1e-12
+
+
+def _built_preconditioners():
+    for kind, a in ((HERMITIAN, rand_hermitian(12, 8, seed=407)),
+                    (COMPLEX_SYMMETRIC, rand_complex_symmetric(12, 8, seed=408))):
+        for source in ("random_psd_svd", "range_preserved"):
+            for m in make_rank_family(a, kind, 9, source):
+                yield f"{kind}/{source}/i={m.rank}", m
+    yield from make_npc_suite(*make_npc_matrix(seed=0), seed=1).items()
+
+
+def test_every_built_preconditioner_is_held_as_economy_pieces():
+    # orthonormal P, positive sigma, and rank(M) the width of P
+    for tag, m in _built_preconditioners():
+        p = m.p
+        assert m.rank == p.shape[1], tag
+        gram = p.conj().T @ p
+        assert np.linalg.norm(gram - np.eye(p.shape[1])) <= 1e-12, tag
+        assert np.all(m.sigma > 0), tag
 
 
 class TestRunErrorSweep:
@@ -127,9 +143,8 @@ class TestRunErrorSweep:
     def test_range_preserved_recovery_exactly_at_rank(self, kind, gen):
         a = gen(20, 15, seed=410)
         b = np.ones(20, dtype=complex)
-        spec = RankFamilySpec(dim=20, seed=11, basis_source="range_preserved",
-                              kind=kind)
-        rows = run_error_sweep(a, b, make_rank_family(spec, a), kind)
+        rows = run_error_sweep(
+            a, b, make_rank_family(a, kind, 11, "range_preserved"), kind)
         at_rank = {row.rank: row for row in rows}
         assert at_rank[15].e_x <= 1e-8
         assert all(row.e_x > 1e-3 for row in rows if row.rank != 15)
@@ -138,8 +153,8 @@ class TestRunErrorSweep:
         a = rand_hermitian(20, 15, seed=411)
         b = np.ones(20, dtype=complex)
         for source in ("range_preserved", "random_psd_svd"):
-            spec = RankFamilySpec(dim=20, seed=12, basis_source=source)
-            for row in run_error_sweep(a, b, make_rank_family(spec, a)):
+            family = make_rank_family(a, HERMITIAN, 12, source)
+            for row in run_error_sweep(a, b, family):
                 if row.b_holds:
                     assert row.e_p <= 1e-8
                     assert row.norm_m_r <= 1e-8 * np.linalg.norm(b) * 4
@@ -150,13 +165,13 @@ class TestRunErrorSweep:
     def test_non_range_preserved_never_recovers(self):
         a = rand_hermitian(20, 15, seed=412)
         b = np.ones(20, dtype=complex)
-        spec = RankFamilySpec(dim=20, seed=13, basis_source="random_psd_svd")
-        rows = run_error_sweep(a, b, make_rank_family(spec, a))
+        rows = run_error_sweep(
+            a, b, make_rank_family(a, HERMITIAN, 13, "random_psd_svd"))
         assert all(row.e_x > 1e-3 for row in rows)
 
     def test_csv_rows_match_schema(self):
         a = rand_hermitian(8, 5, seed=413)
-        spec = RankFamilySpec(dim=8, seed=14, basis_source="random_psd_svd")
-        rows = run_error_sweep(a, np.ones(8, dtype=complex),
-                               make_rank_family(spec, a))
+        rows = run_error_sweep(
+            a, np.ones(8, dtype=complex),
+            make_rank_family(a, HERMITIAN, 14, "random_psd_svd"))
         assert [r.rank for r in rows] == list(range(1, 9))

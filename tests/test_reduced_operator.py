@@ -45,7 +45,7 @@ def test_closed_form_matches_dense_reduced_matrix(zeros, aligned):
     red = KroneckerSubOperator(c).reduce(KroneckerOperator(z), HERMITIAN)
     assert isinstance(red, KroneckerOperator) and red.dim == 25
     s = np.kron(c, c)
-    assert rel_err(red.matrix(), s.T @ np.kron(z, z) @ s) <= 1e-13
+    assert rel_err(np.kron(red.z, red.z), s.T @ np.kron(z, z) @ s) <= 1e-13
 
 
 @pytest.mark.parametrize("zeros,aligned", CASES, ids=IDS)
