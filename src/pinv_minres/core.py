@@ -89,17 +89,18 @@ def band_tiles(f: np.ndarray) -> list | None:
     return tiles if 2 * covered <= f.size else None
 
 
-def _sandwich(f: np.ndarray, x: np.ndarray, tiles: list | None) -> np.ndarray:
-    """F X F^T for real F and X: with ``tiles`` from ``band_tiles(f)``,
-    Y = F X as one GEMM per row tile and Y F^T as one per column tile, so
-    the products skip the band's zeros, whose terms are exact zeros."""
+def _sandwich(f: np.ndarray, x: np.ndarray, tiles: list | None,
+              y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write F X F^T for real F and X into ``out`` through the work buffer
+    ``y`` (F's rows by X's columns) and return ``out``: with ``tiles`` from
+    ``band_tiles(f)``, Y = F X as one GEMM per row tile and Y F^T as one per
+    column tile, so the products skip the band's zeros, whose terms are
+    exact zeros; without, one GEMM per side."""
     if tiles is None:
-        return f @ x @ f.T
-    m = f.shape[0]
-    y = np.empty((m, x.shape[1]))
+        np.matmul(f, x, out=y)
+        return np.matmul(y, f.T, out=out)
     for i0, i1, lo, hi, t in tiles:
         np.matmul(t, x[lo:hi], out=y[i0:i1])
-    out = np.empty((m, m))
     for i0, i1, lo, hi, t in tiles:
         np.matmul(y[:, lo:hi], t.T, out=out[:, i0:i1])
     return out
@@ -114,13 +115,13 @@ def kron_apply(f: np.ndarray, v: np.ndarray, tiles: list | None = None) -> np.nd
     real factor against a complex matrix costs a complex GEMM otherwise,
     about twice the work of two real ones.
     """
-    k = f.shape[1]
+    m, k = f.shape
     x = v.reshape(k, k)
     if not np.iscomplexobj(x):
-        return _sandwich(f, x, tiles).reshape(-1)
-    out = np.empty((f.shape[0], f.shape[0]), dtype=np.complex128)
-    out.real = _sandwich(f, x.real, tiles)
-    out.imag = _sandwich(f, x.imag, tiles)
+        return _sandwich(f, x, tiles, np.empty((m, k)), np.empty((m, m))).reshape(-1)
+    out = np.empty((m, m), dtype=np.complex128)
+    out.real = _sandwich(f, x.real, tiles, np.empty((m, k)), np.empty((m, m)))
+    out.imag = _sandwich(f, x.imag, tiles, np.empty((m, k)), np.empty((m, m)))
     return out.reshape(-1)
 
 
@@ -269,8 +270,10 @@ class GaussianBlurToeplitz(LinearOperator):
         self.sigma = float(sigma)
         half = (bandwidth - 1) // 2
         offs = np.arange(n)
-        z = np.exp(-((offs[:, None] - offs[None, :]) ** 2) / (2.0 * sigma * sigma))
-        z[np.abs(offs[:, None] - offs[None, :]) > half] = 0.0
+        diff = offs[:, None] - offs[None, :]
+        band = np.abs(diff) <= half
+        z = np.zeros((n, n))
+        z[band] = np.exp(-(diff[band] ** 2) / (2.0 * sigma * sigma))
         self.z = z
 
     def _apply(self, v):

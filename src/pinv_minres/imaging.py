@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, core, minres_h, pminres, synthetic
-from .core import band_tiles, kron_apply
+from .core import _sandwich, band_tiles
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -158,7 +158,8 @@ def psnr(x: ImagePlane, y: ImagePlane) -> float:
     images return math.inf."""
     if x.samples.shape != y.samples.shape:
         raise ValueError("psnr needs images of identical shape")
-    mse = float(np.mean((x.samples - y.samples) ** 2))
+    d = x.samples - y.samples
+    mse = float(np.mean(np.square(d, out=d)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
@@ -173,38 +174,69 @@ def _gaussian_window() -> np.ndarray:
 def _window_filter(g: np.ndarray, n: int):
     """The separable window's 'valid' filter of an n x n image, as in the
     reference SSIM: X -> G X G^T, with G the banded (n - w + 1) x n
-    correlation matrix of the flipped window.  G and its tiles
-    (``band_tiles``, so the product skips G's zeros) are built once, for
-    every image the filter is applied to."""
+    correlation matrix of the flipped window.  G, its tiles (``band_tiles``,
+    so the product skips G's zeros) and the product's work buffer are made
+    once, for every image the filter is applied to; ``filt(img, out)``
+    writes the m x m result into ``out`` and returns it."""
     m = n - g.size + 1
     rows = np.arange(m)[:, None]
     gm = np.zeros((m, n))
     gm[rows, rows + np.arange(g.size)] = g[::-1]
     tiles = band_tiles(gm)
-    return lambda img: kron_apply(gm, img.reshape(-1), tiles).reshape(m, m)
+    y = np.empty((m, n))
+    return lambda img, out: _sandwich(gm, img, tiles, y, out)
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray, filt) -> float:
-    # one image at a time, so only the moments still in use are held
-    mu_x = filt(x)
-    mu_y = filt(y)
-    sxx = filt(x * x) - mu_x * mu_x
-    syy = filt(y * y) - mu_y * mu_y
-    sxy = filt(x * y) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sxy + SSIM_C2)
-    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sxx + syy + SSIM_C2)
-    return float(np.mean(num / den))
+def _ssim_channel(x: np.ndarray, y: np.ndarray, filt, w: np.ndarray,
+                  prod: np.ndarray) -> float:
+    """SSIM of one channel, computed in the five m x m buffers of ``w``
+    and the n x n buffer ``prod``, which holds each filter's input (a
+    contiguous copy of a channel, or a product of two); every operation
+    is the textbook expression's, in its order."""
+    mu_x, mu_y, a, b, c = w
+    np.copyto(prod, x)
+    filt(prod, mu_x)
+    np.copyto(prod, y)
+    filt(prod, mu_y)
+    # the numerator (2 mu_x mu_y + C1)(2 sxy + C2), with sxy in a
+    sxy = filt(np.multiply(x, y, out=prod), a)
+    sxy -= np.multiply(mu_x, mu_y, out=c)
+    num = np.multiply(mu_x, 2.0, out=b)
+    num *= mu_y
+    num += SSIM_C1
+    sxy *= 2.0
+    sxy += SSIM_C2
+    num *= sxy
+    # mu_x and mu_y are squared in place: sxx, syy and the denominator
+    # need only their squares
+    np.multiply(mu_x, mu_x, out=mu_x)
+    np.multiply(mu_y, mu_y, out=mu_y)
+    sxx = filt(np.multiply(x, x, out=prod), a)
+    sxx -= mu_x
+    syy = filt(np.multiply(y, y, out=prod), c)
+    syy -= mu_y
+    den = np.add(mu_x, mu_y, out=mu_x)
+    den += SSIM_C1
+    sxx += syy
+    sxx += SSIM_C2
+    den *= sxx
+    num /= den
+    return float(np.mean(num))
 
 
 def ssim(x: ImagePlane, y: ImagePlane) -> float:
     """Mean local SSIM with the standard 11x11 Gaussian window (sigma 1.5)
-    and constants C1 = 0.01^2, C2 = 0.03^2 on the [0, 1] range."""
+    and constants C1 = 0.01^2, C2 = 0.03^2 on the [0, 1] range.  One call
+    allocates its workspace once and shares it across channels."""
     if x.samples.shape != y.samples.shape:
         raise ValueError("ssim needs images of identical shape")
-    if x.size < SSIM_WINDOW:
+    n = x.size
+    if n < SSIM_WINDOW:
         raise ValueError(f"ssim needs image size >= {SSIM_WINDOW}")
-    filt = _window_filter(_gaussian_window(), x.size)
-    return float(np.mean([_ssim_channel(x.channel(k), y.channel(k), filt)
+    m = n - SSIM_WINDOW + 1
+    filt = _window_filter(_gaussian_window(), n)
+    w, prod = np.empty((5, m, m)), np.empty((n, n))
+    return float(np.mean([_ssim_channel(x.channel(k), y.channel(k), filt, w, prod)
                           for k in range(x.channels)]))
 
 
@@ -217,7 +249,9 @@ def add_noise(plane: ImagePlane, sigma: float, seed: int) -> ImagePlane:
         return ImagePlane(plane.samples.copy())
     rng = np.random.Generator(np.random.Philox(seed))
     field = rng.standard_normal(plane.samples.shape)
-    return ImagePlane(plane.samples + sigma * field)
+    field *= sigma
+    field += plane.samples
+    return ImagePlane(field)
 
 
 def phantom(n: int) -> ImagePlane:
@@ -227,9 +261,9 @@ def phantom(n: int) -> ImagePlane:
     img = 0.25 + 0.45 * xx * yy
     img[(xx - 0.35) ** 2 + (yy - 0.4) ** 2 < 0.04] = 0.95
     img[(np.abs(xx - 0.72) < 0.12) & (np.abs(yy - 0.62) < 0.12)] = 0.05
-    stripes = 0.5 + 0.45 * np.sin(2.0 * np.pi * 8.0 * (xx + yy))
-    band = yy > 0.8
-    img[band] = stripes[band]
+    # the striped band: the rows with yy > 0.8
+    band = yy[:, 0] > 0.8
+    img[band] = 0.5 + 0.45 * np.sin(2.0 * np.pi * 8.0 * (xx[band] + yy[band]))
     return ImagePlane(np.clip(img, 0.0, 1.0))
 
 

@@ -82,13 +82,23 @@ class Preconditioner:
         out = np.asarray(self._apply(v), dtype=np.complex128)
         return out.copy() if np.may_share_memory(out, v) else out
 
+    def _economy(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.p is None:
+            raise ValueError("M is a bare apply function; its matrix needs "
+                             "the economy pieces (Preconditioner.from_economy)")
+        return self.p, self.sigma
+
     def matrix(self) -> np.ndarray:
-        """M = P diag(sigma) P^H, formed on each call."""
-        return (self.p * self.sigma) @ self.p.conj().T
+        """M = P diag(sigma) P^H, formed on each call; ValueError for a bare
+        apply function."""
+        p, sigma = self._economy()
+        return (p * sigma) @ p.conj().T
 
     def pinv_matrix(self) -> np.ndarray:
-        """M^+ = P diag(1/sigma) P^H, formed on each call."""
-        return (self.p / self.sigma) @ self.p.conj().T
+        """M^+ = P diag(1/sigma) P^H, formed on each call; ValueError for a
+        bare apply function."""
+        p, sigma = self._economy()
+        return (p / sigma) @ p.conj().T
 
 
 class SubOperator:

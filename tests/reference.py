@@ -1,14 +1,21 @@
 """Dense references that only the tests compare against: the Moore-Penrose
-conditions, the Krylov grade and the truncated SVD of an explicit matrix."""
+conditions, the Krylov grade and the truncated SVD of an explicit matrix;
+and the plain-expression forms of the deblur experiment's quality metrics
+and set-up (PSNR, SSIM, the Gaussian blur factor, the phantom and the
+noise), which the library's allocation-lean forms must match bitwise."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from pinv_minres.baselines import BaselineReport
-from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, as_vector
+from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, as_vector,
+                               band_tiles, kron_apply)
+from pinv_minres.imaging import (SSIM_C1, SSIM_C2, SSIM_WINDOW, ImagePlane,
+                                 _gaussian_window)
 from pinv_minres.oracle import RANK_RTOL, _as_matrix
 
 MOORE_PENROSE_RTOL = 1e-8
@@ -103,3 +110,68 @@ def tsvd_solve(a, b, rank: int) -> BaselineReport:
     else:
         x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
     return BaselineReport(x, float(np.linalg.norm(b - a @ x)), 0, rank)
+
+
+def psnr_reference(x: ImagePlane, y: ImagePlane) -> float:
+    """PSNR in dB on the [0, 1] range, one temporary per operation."""
+    mse = float(np.mean((x.samples - y.samples) ** 2))
+    if mse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(1.0 / mse)
+
+
+def ssim_reference(x: ImagePlane, y: ImagePlane) -> float:
+    """Mean local SSIM as the textbook expression, one temporary per
+    operation and filter: the window's 'valid' filter is G X G^T through
+    ``kron_apply`` on G's tiles."""
+    n = x.size
+    g = _gaussian_window()
+    m = n - SSIM_WINDOW + 1
+    rows = np.arange(m)[:, None]
+    gm = np.zeros((m, n))
+    gm[rows, rows + np.arange(g.size)] = g[::-1]
+    tiles = band_tiles(gm)
+
+    def filt(img):
+        return kron_apply(gm, img.reshape(-1), tiles).reshape(m, m)
+
+    def channel(x, y):
+        mu_x = filt(x)
+        mu_y = filt(y)
+        sxx = filt(x * x) - mu_x * mu_x
+        syy = filt(y * y) - mu_y * mu_y
+        sxy = filt(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sxy + SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sxx + syy + SSIM_C2)
+        return float(np.mean(num / den))
+
+    return float(np.mean([channel(x.channel(k), y.channel(k))
+                          for k in range(x.channels)]))
+
+
+def blur_z_reference(n: int, bandwidth: int, sigma: float) -> np.ndarray:
+    """The Gaussian Toeplitz factor with exp evaluated on all of n x n and
+    the entries outside the band zeroed afterwards."""
+    half = (bandwidth - 1) // 2
+    offs = np.arange(n)
+    z = np.exp(-((offs[:, None] - offs[None, :]) ** 2) / (2.0 * sigma * sigma))
+    z[np.abs(offs[:, None] - offs[None, :]) > half] = 0.0
+    return z
+
+
+def phantom_reference(n: int) -> np.ndarray:
+    """The phantom's samples with the stripes computed on every pixel."""
+    yy, xx = np.mgrid[0:n, 0:n] / max(n - 1, 1)
+    img = 0.25 + 0.45 * xx * yy
+    img[(xx - 0.35) ** 2 + (yy - 0.4) ** 2 < 0.04] = 0.95
+    img[(np.abs(xx - 0.72) < 0.12) & (np.abs(yy - 0.62) < 0.12)] = 0.05
+    stripes = 0.5 + 0.45 * np.sin(2.0 * np.pi * 8.0 * (xx + yy))
+    band = yy > 0.8
+    img[band] = stripes[band]
+    return np.clip(img, 0.0, 1.0)
+
+
+def add_noise_reference(samples: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """samples + sigma * field for the seeded Philox normal field."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return samples + sigma * rng.standard_normal(samples.shape)

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference import (add_noise_reference, blur_z_reference, phantom_reference,
+                       psnr_reference, ssim_reference)
 
+from pinv_minres.core import GaussianBlurToeplitz
 from pinv_minres.imaging import (ImageFormatError, ImagePlane,
                                  _gaussian_window, _window_filter, add_noise,
                                  phantom, psnr, read_image, ssim,
@@ -175,6 +179,87 @@ class TestSsimFilter:
              else rng.uniform(0.0, 1.0, 11))
         rows = np.apply_along_axis(np.convolve, 1, img, g, "valid")
         ref = np.apply_along_axis(np.convolve, 0, rows, g, "valid")
-        got = _window_filter(g, n)(img)
+        got = _window_filter(g, n)(img, np.empty((n - 10, n - 10)))
         assert got.shape == ref.shape == (n - 10, n - 10)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # n = 16 takes the dense product (the tiles would cover more than half
+    # of G), n = 64 the tiled one
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_writes_into_the_given_out(self, rng, n):
+        filt = _window_filter(_gaussian_window(), n)
+        img = rng.uniform(0.0, 1.0, (n, n))
+        out = np.full((n - 10, n - 10), np.nan)
+        assert filt(img, out) is out
+        assert np.isfinite(out).all()
+        # the filter's work buffer is reused, not carried over between images
+        other = rng.uniform(0.0, 1.0, (n, n))
+        first = filt(other, np.empty_like(out)).copy()
+        filt(img, out)
+        assert np.array_equal(filt(other, np.empty_like(out)), first)
+
+
+def _noisy_pair(rng, n, channels):
+    shape = (n, n) if channels == 1 else (n, n, channels)
+    x = rng.uniform(0.0, 1.0, shape)
+    return ImagePlane(x), ImagePlane(x + rng.normal(0.0, 0.05, shape))
+
+
+class TestMetricsBitwise:
+    """``ssim`` and ``psnr`` compute in one workspace per call; their values
+    are bitwise those of the plain expressions in ``reference``."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_match_plain_expressions(self, rng, n, channels):
+        x, y = _noisy_pair(rng, n, channels)
+        assert ssim(x, y) == ssim_reference(x, y)
+        assert psnr(x, y) == psnr_reference(x, y)
+
+    def test_strided_channel_view(self, rng):
+        x, y = _noisy_pair(rng, 64, 3)
+        gx, gy = ImagePlane(x.samples[:, :, 1]), ImagePlane(y.samples[:, :, 1])
+        assert not gx.samples.flags.c_contiguous
+        assert ssim(gx, gy) == ssim_reference(gx, gy)
+        assert psnr(gx, gy) == psnr_reference(gx, gy)
+
+    def test_inputs_unchanged(self, rng):
+        x, y = _noisy_pair(rng, 32, 3)
+        xs, ys = x.samples.copy(), y.samples.copy()
+        ssim(x, y)
+        psnr(x, y)
+        assert np.array_equal(x.samples, xs) and np.array_equal(y.samples, ys)
+
+    def test_ssim_workspace_peak(self, rng):
+        # five 246 x 246 buffers, one 256 x 256 product, the filter's
+        # 246 x 256 work buffer and G: 3.85 MiB; a temporary per ufunc and
+        # filter took 4.26 MiB
+        x, y = _noisy_pair(rng, 256, 3)
+        tracemalloc.start()
+        try:
+            ssim(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 2**20
+
+
+class TestDeblurSetUpBitwise:
+    """The deblur set-up's allocation-lean forms match the plain
+    expressions in ``reference`` bitwise."""
+
+    @pytest.mark.parametrize("n,bandwidth,sigma", [
+        (1, 1, 1.0), (5, 9, 2.0), (64, 9, 2.0), (256, 21, 3.0), (300, 101, 9.0)])
+    def test_blur_factor(self, n, bandwidth, sigma):
+        z = GaussianBlurToeplitz(n, bandwidth, sigma).z
+        assert z.tobytes() == blur_z_reference(n, bandwidth, sigma).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 48, 64, 256])
+    def test_phantom(self, n):
+        assert phantom(n).samples.tobytes() == phantom_reference(n).tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64, 3)])
+    def test_add_noise(self, rng, shape):
+        samples = rng.uniform(0.0, 1.0, shape)
+        got = add_noise(ImagePlane(samples), 0.05, seed=3).samples
+        assert got.tobytes() == add_noise_reference(samples, 0.05, 3).tobytes()

@@ -145,6 +145,17 @@ class TestAttachPreconditions:
         with pytest.raises(ValueError, match="made no iteration"):
             attach(rep, op, m, b)
 
+    def test_bare_apply_function_needs_economy_pieces(self):
+        # attach forms M^+; a bare apply function cannot give it
+        a = rand_hermitian(6, 6, seed=514, indefinite=False)
+        op = DenseOperator(a, HERMITIAN)
+        m = Preconditioner(6, lambda v: 2.0 * v)
+        b = np.ones(6, dtype=complex)
+        rep = psolve_h(op, m, b, TRACED)
+        assert rep.iterations > 0
+        with pytest.raises(ValueError, match="from_economy"):
+            attach(rep, op, m, b)
+
 
 class TestVerifyIdentities:
     def test_positive_definite_run_is_clean(self):

@@ -50,6 +50,12 @@ class TestPreconditioner:
         assert np.allclose(m.pinv_matrix(), np.linalg.pinv(m.matrix()),
                            atol=1e-10)
 
+    @pytest.mark.parametrize("method", ["matrix", "pinv_matrix"])
+    def test_bare_apply_function_has_no_matrix(self, method):
+        m = Preconditioner(3, lambda v: v)
+        with pytest.raises(ValueError, match="from_economy"):
+            getattr(m, method)()
+
     def test_psd_quadratic_form_bound(self, rng):
         m = random_economy_preconditioner(10, 6, seed=4)
         mnorm = np.linalg.norm(m.matrix(), 2)
