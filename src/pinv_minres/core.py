@@ -147,9 +147,10 @@ class LinearOperator:
     """Matrix-free complex operator with a declared symmetry kind.
 
     Subclasses implement ``_apply``.  ``apply_conj`` computes ``A @ conj(v)``
-    (used by the complex-symmetric recurrences) and ``apply_adjoint``
-    computes ``A^H @ v``; both default to expressions in ``_apply`` that are
-    exact for the declared kind.  A subclass whose matrix is real sets
+    (no solver calls it: the complex-symmetric recurrence conjugates its
+    vector and calls ``apply``) and ``apply_adjoint`` computes ``A^H @ v``;
+    both default to expressions in ``_apply`` that are exact for the
+    declared kind.  A subclass whose matrix is real sets
     ``real = True``; its products then keep a float64 input in float64.
     ``apply`` never returns memory of its input, so callers may update the
     product in place.

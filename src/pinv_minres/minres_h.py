@@ -67,7 +67,7 @@ class Trace:
     """Per-iteration quantities of a recorded solve (index 0 is t = 1)."""
 
     iterates: list = field(default_factory=list)       # x_t
-    residuals: list = field(default_factory=list)      # r_t (or proxies' base)
+    residuals: list = field(default_factory=list)      # r_t (plain runs only)
     phis: list = field(default_factory=list)           # phi_t = ||r_t||
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)          # beta_{t+1}
@@ -82,6 +82,7 @@ class Trace:
     ws: list = field(default_factory=list)             # w_t
     rhats: list = field(default_factory=list)          # r_hat_t
     rbreves: list = field(default_factory=list)        # r_breve_t
+    x_mdag_sq: list = field(default_factory=list)      # ||x_t||^2_{M^+}, Hermitian
 
 
 @dataclass
@@ -317,6 +318,11 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
     if buffer is not None:
         buffer.push(v, None if m is None else u)
+    # a recorded preconditioned Hermitian solve carries y_t with x_t = M y_t,
+    # for ||x_t||^2_{M^+} = <y_t, x_t>: e_t runs the d_t recurrence on v_t in
+    # place of u_t = M v_t, so d_t = M e_t (reorthogonalization keeps w = M z)
+    carry_y = trace is not None and m is not None and not cs
+    y = e1 = e2 = zeros
 
     def record(gamma2, c, s, tau, dvec):
         trace.iterates.append(x.copy())
@@ -327,6 +333,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
             trace.rhats.append(rhat.copy())
             trace.rbreves.append(rbrev.copy())
             trace.ws.append(beta * u)
+            if carry_y:
+                trace.x_mdag_sq.append(float(np.vdot(y, x).real))
         trace.phis.append(float(phi))
         trace.alphas.append(complex(alpha))
         trace.betas.append(float(beta_next))
@@ -398,6 +406,9 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         d2 = d1
         d1 = dvec
         x += tau * dvec
+        if carry_y:
+            e1, e2 = (v - delta2 * e1 - eps_cur * e2) / gamma2, e1
+            y = y + tau * e1
 
         if beta_next <= EPS_ZERO * beta1:
             g = t

@@ -11,6 +11,7 @@ the M-pseudo-norm of x_t grow strictly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,9 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
            b) -> tuple[NpcCertificate, MonotonicityTrace]:
     """Post-hoc curvature monitor for a recorded preconditioned Hermitian
     solve; returns the detection certificate and the monitored scalars of
-    every step t = 1..g, before and after a detection."""
+    every step t = 1..g, before and after a detection.  They are read from
+    the report, so M may be any PSD operator (a bare apply function too),
+    no M^+ is formed, and the one product by A is the detection's curvature."""
     if report.kind != HERMITIAN or not report.preconditioned:
         raise ValueError("the curvature monitor applies to preconditioned "
                          "hermitian solves only")
@@ -77,16 +80,15 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     npc = (-c_prev * np.real(trace.gammas_pre[:steps])
            <= NPC_TOL * (np.abs(alphas) + betas + beta_prev))
     detected_at = int(np.argmax(npc)) + 1 if npc.any() else None
-    monot = MonotonicityTrace(detected_at=detected_at, lambda_mins=[
-        float(np.linalg.eigvalsh(tg[:t, :t])[0]) for t in range(1, steps + 1)])
-
-    mdag = m.pinv_matrix()
-    for x in trace.iterates:
-        ax = a.apply(x)
-        monot.m_values.append(float(0.5 * np.vdot(x, ax).real
-                                    - np.vdot(b, x).real))
-        monot.xb_values.append(float(np.vdot(x, b).real))
-        monot.x_mdag_norms.append(float(np.sqrt(max(np.vdot(x, mdag @ x).real, 0.0))))
+    xb = [float(np.vdot(x, b).real) for x in trace.iterates]
+    # m(x_t) = 1/2 <x_t, A x_t> - Re<b, x_t>, where <x_t, A x_t> = <x_t, b>
+    # - <x_t, r_breve_t>: x_t is in range(M), r_breve_t - (b - A x_t) in null(M)
+    m_values = [-0.5 * xb_t - 0.5 * float(np.vdot(x, rb).real)
+                for xb_t, x, rb in zip(xb, trace.iterates, trace.rbreves)]
+    monot = MonotonicityTrace(
+        m_values, xb, [math.sqrt(max(v, 0.0)) for v in trace.x_mdag_sq],
+        [float(np.linalg.eigvalsh(tg[:t, :t])[0]) for t in range(1, steps + 1)],
+        detected_at)
 
     if detected_at is None:
         return NpcCertificate(False, None, None, None, None,

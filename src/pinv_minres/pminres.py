@@ -33,10 +33,10 @@ class Preconditioner:
     function.
 
     The economy pieces (orthonormal ``p``, positive ``sigma`` with
-    M = P diag(sigma) P^H, built by ``from_economy``) give the rank, the
-    factor M = S S^H, the matrix and its pseudo-inverse; a bare apply
-    function gives M v alone.  The basis ``p`` is held once, by reference,
-    with no conjugate-transpose copy beside it.
+    M = P diag(sigma) P^H, built by ``from_economy``) give the rank and the
+    factor M = S S^H; a bare apply function gives M v alone, which is all
+    the solvers and the curvature monitor use.  The basis ``p`` is held
+    once, by reference, with no conjugate-transpose copy beside it.
     """
 
     def __init__(self, dim: int, apply_fn, *,
@@ -81,24 +81,6 @@ class Preconditioner:
         v = as_vector(v, self.dim)
         out = np.asarray(self._apply(v), dtype=np.complex128)
         return out.copy() if np.may_share_memory(out, v) else out
-
-    def _economy(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.p is None:
-            raise ValueError("M is a bare apply function; its matrix needs "
-                             "the economy pieces (Preconditioner.from_economy)")
-        return self.p, self.sigma
-
-    def matrix(self) -> np.ndarray:
-        """M = P diag(sigma) P^H, formed on each call; ValueError for a bare
-        apply function."""
-        p, sigma = self._economy()
-        return (p * sigma) @ p.conj().T
-
-    def pinv_matrix(self) -> np.ndarray:
-        """M^+ = P diag(1/sigma) P^H, formed on each call; ValueError for a
-        bare apply function."""
-        p, sigma = self._economy()
-        return (p / sigma) @ p.conj().T
 
 
 class SubOperator:

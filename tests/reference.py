@@ -1,5 +1,6 @@
 """Dense references that only the tests compare against: the Moore-Penrose
 conditions, the Krylov grade and the truncated SVD of an explicit matrix;
+the matrix and pseudo-inverse of a preconditioner held as economy pieces;
 and the plain-expression forms of the deblur experiment's quality metrics
 and set-up (PSNR, SSIM, the Gaussian blur factor, the phantom and the
 noise), which the library's allocation-lean forms must match bitwise."""
@@ -42,6 +43,16 @@ def verify_moore_penrose(a, b):
     }
     ok = all(r <= MOORE_PENROSE_RTOL * scale for r in residuals.values())
     return ok, residuals
+
+
+def precon_matrix(m) -> np.ndarray:
+    """M = P diag(sigma) P^H of a ``Preconditioner.from_economy``."""
+    return (m.p * m.sigma) @ m.p.conj().T
+
+
+def precon_pinv_matrix(m) -> np.ndarray:
+    """M^+ = P diag(1/sigma) P^H of a ``Preconditioner.from_economy``."""
+    return (m.p / m.sigma) @ m.p.conj().T
 
 
 def _krylov_dimension(seq_vectors) -> int:

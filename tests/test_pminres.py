@@ -17,6 +17,7 @@ from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
                                  sublift, subsolve)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rand_matrix, rng_for)
+from reference import precon_matrix
 
 
 def random_economy_preconditioner(d, rank, seed, real=False):
@@ -39,26 +40,15 @@ class TestPreconditioner:
     def test_factor_consistency(self, rng):
         m = random_economy_preconditioner(9, 6, seed=2)
         s = m.factor
-        mnorm = np.linalg.norm(m.matrix(), 2)
+        mnorm = np.linalg.norm(precon_matrix(m), 2)
         for _ in range(5):
             v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
             diff = np.linalg.norm(m.apply(v) - s.apply(s.apply_adjoint(v)))
             assert diff <= 1e-10 * np.linalg.norm(v) * mnorm
 
-    def test_pinv_matrix_from_factors(self):
-        m = random_economy_preconditioner(7, 4, seed=3)
-        assert np.allclose(m.pinv_matrix(), np.linalg.pinv(m.matrix()),
-                           atol=1e-10)
-
-    @pytest.mark.parametrize("method", ["matrix", "pinv_matrix"])
-    def test_bare_apply_function_has_no_matrix(self, method):
-        m = Preconditioner(3, lambda v: v)
-        with pytest.raises(ValueError, match="from_economy"):
-            getattr(m, method)()
-
     def test_psd_quadratic_form_bound(self, rng):
         m = random_economy_preconditioner(10, 6, seed=4)
-        mnorm = np.linalg.norm(m.matrix(), 2)
+        mnorm = np.linalg.norm(precon_matrix(m), 2)
         for _ in range(10):
             v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
             q = np.vdot(v, m.apply(v)).real
@@ -132,7 +122,7 @@ class TestPsolveH:
         b = np.ones(18, dtype=complex)
         rep = psolve_h(DenseOperator(a, HERMITIAN), m, b,
                        SolveOptions(record_trace=True, reorthogonalize=True))
-        mm = m.matrix()
+        mm = precon_matrix(m)
         p = m.p
         pph = p @ p.conj().T
         scale = np.linalg.norm(b) * np.linalg.norm(a, 2) * np.linalg.norm(mm, 2)
@@ -163,7 +153,7 @@ class TestPsolveH:
         b = np.ones(20, dtype=complex)
         rep = psolve_h(DenseOperator(a, HERMITIAN), m, b,
                        SolveOptions(record_trace=True))
-        mm = m.matrix()
+        mm = precon_matrix(m)
         prev = np.inf
         for x in rep.trace.iterates:
             r = b - a @ x
@@ -222,7 +212,7 @@ class TestPsolveCs:
         b = np.ones(14, dtype=complex)
         rep = psolve_cs(DenseOperator(a, COMPLEX_SYMMETRIC), m, b,
                         SolveOptions(record_trace=True, reorthogonalize=True))
-        mm = m.matrix()
+        mm = precon_matrix(m)
         scale = np.linalg.norm(b) * np.linalg.norm(a, 2) * np.linalg.norm(mm, 2)
         for t in range(len(rep.trace.iterates)):
             r_true = b - a @ rep.trace.iterates[t]
@@ -389,6 +379,44 @@ class TestReorthogonalization:
         off_without = self._implied_basis_gram(False)
         assert off_with <= 1e-10
         assert off_without > off_with
+
+
+class TestRecordingChangesNoSolve:
+    """``record_trace`` only copies what the solve computes (and, on a
+    preconditioned Hermitian solve, carries y_t with x_t = M y_t beside it):
+    every output of a recorded solve is bitwise that of the unrecorded one."""
+
+    @staticmethod
+    def _entry(name):
+        ah = DenseOperator(rand_hermitian(20, 15, seed=351), HERMITIAN)
+        acs = DenseOperator(rand_complex_symmetric(20, 15, seed=352),
+                            COMPLEX_SYMMETRIC)
+        m = random_economy_preconditioner(20, 17, seed=353)
+        return {"solve": lambda b, o: solve(ah, b, o),
+                "solve_cs": lambda b, o: solve_cs(acs, b, o),
+                "psolve_h": lambda b, o: psolve_h(ah, m, b, o),
+                "psolve_cs": lambda b, o: psolve_cs(acs, m, b, o),
+                "subsolve_h": lambda b, o: subsolve(ah, m.factor, b, o),
+                "subsolve_cs": lambda b, o: subsolve(acs, m.factor, b, o)}[name]
+
+    @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
+    @pytest.mark.parametrize("name", ["solve", "solve_cs", "psolve_h",
+                                      "psolve_cs", "subsolve_h", "subsolve_cs"])
+    def test_recorded_solve_is_bitwise_unrecorded(self, name, reorth):
+        run = self._entry(name)
+        rng = rng_for(354)
+        b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        plain = run(b, SolveOptions(reorthogonalize=reorth))
+        recorded = run(b, SolveOptions(reorthogonalize=reorth,
+                                       record_trace=True))
+        assert (recorded.trace or recorded.reduced.trace).iterates
+        for vec in ("x", "r", "r_hat", "r_breve"):
+            want, got = getattr(plain, vec), getattr(recorded, vec)
+            assert (want is None and got is None) or (
+                want.dtype == got.dtype and np.array_equal(want, got)), vec
+        assert ((plain.phi, plain.iterations, plain.termination, plain.grade)
+                == (recorded.phi, recorded.iterations, recorded.termination,
+                    recorded.grade))
 
 
 def _range_matched_or_generic(k, kind, generic):
