@@ -209,9 +209,6 @@ class DenseOperator(LinearOperator):
     def _apply(self, v):
         return self.a @ v
 
-    def apply_conj(self, v):
-        return self.a @ np.conj(as_vector(v, self.dim))
-
 
 class CallableOperator(LinearOperator):
     """Operator defined by a user callable v -> A v; pass ``real=True``

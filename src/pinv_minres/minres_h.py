@@ -1,12 +1,13 @@
 """MINRES for Hermitian least-squares with a one-step lifting correction.
 
 The solver runs the classical three-term Lanczos / Givens recurrence and
-stops either when the residual reaches zero (beta hits zero) or when the
-Krylov subspace stops growing with a nonzero residual (the projected
-triangular entry gamma hits zero).  In the latter case the final iterate is
-generally not the minimum-norm solution; ``lift`` removes its component
-along the final residual, which recovers the pseudo-inverse solution
-exactly at the final iteration.
+stops when the residual reaches zero (beta hits zero), when the Krylov
+subspace stops growing with a nonzero residual (gamma hits zero), or when
+||A r|| reaches its target; only the first two, exact breakdowns at the
+grade, give the report a ``grade``.  After a gamma breakdown the final
+iterate is generally not the minimum-norm solution; ``lift`` removes its
+component along the final residual, which recovers the pseudo-inverse
+solution exactly at the final iteration.
 
 The one recurrence engine, ``_minres``, lives here: ``solve``, ``solve_skew``,
 ``minres_cs.solve_cs`` and ``pminres.psolve_h``/``psolve_cs`` wrap it, and
@@ -26,6 +27,7 @@ from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
 
 TERM_BETA_ZERO = "beta_zero"
 TERM_GAMMA_ZERO = "gamma_zero"
+TERM_NORMAL_RESIDUAL = "normal_residual"
 TERM_MAX_ITER = "max_iter"
 TERM_NULL_PRECONDITIONED_RHS = "b_in_null_m"
 
@@ -39,9 +41,9 @@ EPS_ZERO = 1e-8
 # The robust companion of the gamma test: phi_{t-1} hypot(gamma_t,
 # delta_{t+1}) estimates ||A r_{t-1}||, which vanishes exactly when the
 # least-squares problem is solved.  Once it falls to this fraction of
-# ||A r_0|| the current step is completed and the solve stops as
-# grade-reached, before the direction recurrence starts compounding
-# noise-level pivots (the regime MINRES-QLP was designed for).
+# ||A r_0|| the current step is completed and the solve stops, with no
+# grade, before the direction recurrence starts compounding noise-level
+# pivots (the regime MINRES-QLP was designed for).
 NORMAL_RESIDUAL_TARGET = 1e-8
 
 
@@ -88,19 +90,28 @@ class Trace:
 @dataclass
 class SolveReport:
     x: np.ndarray
-    r: np.ndarray | None
+    r: np.ndarray | None                  # b - A x; None from psolve_h/_cs
     phi: float
     norm_b: float
     termination: str
     iterations: int
-    grade: int | None
     kind: str
-    preconditioned: bool = False
+    beta1: float                          # ||b||, or sqrt(<b, M b>) with M
     r_hat: np.ndarray | None = None
     r_breve: np.ndarray | None = None
     trace: Trace | None = None
-    beta1: float | None = None            # sqrt(<b, M b>) in preconditioned runs
     reduced: "SolveReport | None" = None  # reduced-space report from subsolve
+
+    @property
+    def grade(self) -> int | None:
+        """``iterations`` where the solve stopped on an exact breakdown
+        (``beta_zero`` or ``gamma_zero``), the grade; None otherwise."""
+        exact = self.termination in (TERM_BETA_ZERO, TERM_GAMMA_ZERO)
+        return self.iterations if exact else None
+
+    @property
+    def preconditioned(self) -> bool:
+        return self.r_hat is not None
 
 
 def lift(x: np.ndarray, r: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
@@ -276,168 +287,160 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
             return w / beta
         return np.conj(v) if cs else v
 
-    def report(x, rbrev, rhat, phi, termination, iterations, grade, beta1):
-        if m is None:
-            return SolveReport(x=x, r=rbrev, phi=float(phi), norm_b=norm_b,
-                               termination=termination, iterations=iterations,
-                               grade=grade, kind=kind, trace=trace)
-        return SolveReport(x=x, r=None, phi=float(phi), norm_b=norm_b,
-                           termination=termination, iterations=iterations,
-                           grade=grade, kind=kind, preconditioned=True,
-                           r_hat=rhat, r_breve=rbrev, trace=trace, beta1=beta1)
-
     if m is None:
         w = None
         beta1 = norm_b
-        if norm_b == 0.0:
-            return report(zeros, zeros.copy(), None, 0.0, TERM_BETA_ZERO, 0, 0, None)
     else:
         w = m.apply(np.conj(b) if cs else b)
         beta1 = _beta_from(b, w, cs)
         if norm_b == 0.0 or beta1 <= EPS_ZERO * np.sqrt(norm(b) * norm(w) + 1e-300):
-            return report(zeros, zeros.copy(), zeros.copy(), 0.0,
-                          TERM_NULL_PRECONDITIONED_RHS, 0, None, 0.0)
+            beta1 = 0.0       # M b is zero: b lies in null(M)
 
-    max_iter = opts.resolved_max_iterations(a.dim)
-    phi = beta1
-    v = b / beta1
-    u = partner(v, w, beta1)
-    rbrev = b.copy()          # r_breve_0 = b
-    # r_hat_0 = M b (Hermitian) or conj(M) b (complex-symmetric, where the
-    # proxy is conj(S) S^T r throughout, hence the conjugated start)
-    rhat = rbrev if m is None else (np.conj(w) if cs else w.copy())
-    beta = beta1
-    c: complex = -1.0
-    s = 0.0
-    delta: complex = 0.0      # delta_t entering the next rotation
-    eps_next = 0.0
-    x = zeros.copy()          # x_t, updated in place
-    d1 = d2 = v_prev = zeros  # d_{t-1}, d_{t-2}, v_{t-1}: read-only
-    # d_t is built into the buffer that held d_{t-3}
-    dbufs = (np.empty_like(zeros), np.empty_like(zeros), np.empty_like(zeros))
-    buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
-    if buffer is not None:
-        buffer.push(v, None if m is None else u)
-    # a recorded preconditioned Hermitian solve carries y_t with x_t = M y_t,
-    # for ||x_t||^2_{M^+} = <y_t, x_t>: e_t runs the d_t recurrence on v_t in
-    # place of u_t = M v_t, so d_t = M e_t (reorthogonalization keeps w = M z)
-    carry_y = trace is not None and m is not None and not cs
-    y = e1 = e2 = zeros
-
-    def record(gamma2, c, s, tau, dvec):
-        trace.iterates.append(x.copy())
-        if m is None:
-            trace.residuals.append(rbrev.copy())
-            trace.basis.append(v.copy())
-        else:
-            trace.rhats.append(rhat.copy())
-            trace.rbreves.append(rbrev.copy())
-            trace.ws.append(beta * u)
-            if carry_y:
-                trace.x_mdag_sq.append(float(np.vdot(y, x).real))
-        trace.phis.append(float(phi))
-        trace.alphas.append(complex(alpha))
-        trace.betas.append(float(beta_next))
-        trace.gammas_pre.append(complex(gamma_pre))
-        trace.gammas2.append(float(gamma2))
-        trace.cs.append(complex(c))
-        trace.ss.append(float(s))
-        trace.taus.append(complex(tau))
-        trace.directions.append(dvec.copy())
-
-    termination = TERM_MAX_ITER
-    g = None
-    tnorm = 0.0
     t = 0
-    for t in range(1, max_iter + 1):
-        q = a.apply(u)
-        alpha = np.dot(u, q) if cs else float(np.vdot(u, q).real)
-        q -= alpha * v
-        q -= beta * v_prev
-        wq = None if m is None else m.apply(np.conj(q) if cs else q)
-        if buffer is not None:
-            q, wq = buffer.apply(q, wq)
-        beta_next = norm(q) if m is None else _beta_from(q, wq, cs, beta1 * beta1)
-
-        # previous rotation applied to the new tridiagonal column
-        delta2 = (c.conjugate() if cs else c) * delta + s * alpha
-        gamma_pre = s * delta - c * alpha
-        eps_cur = eps_next
-        eps_next = s * beta_next
-        delta = -c * beta_next
-        gamma2 = math.sqrt(abs(gamma_pre) ** 2 + beta_next**2)
-
-        # ||A r_{t-1}|| estimate (in the reduced space when preconditioned);
-        # zero exactly when least squares is solved.  abs(complex(a, b)) is
-        # the C library's hypot, as np.hypot is; math.hypot is not.
-        arnorm_prev = phi * abs(complex(abs(gamma_pre), abs(delta)))
-        if t == 1:
-            arnorm0 = arnorm_prev
-        ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
-
-        col = abs(alpha) + beta + beta_next
-        # running estimate of ||T||; beta_1 is ||b||, not an entry of T
-        tnorm = max(tnorm, col if t > 1 else abs(alpha) + beta_next)
-        if (gamma2 <= EPS_ZERO * col
-                or (beta_next <= EPS_ZERO * beta1
-                    and abs(gamma_pre) <= EPS_ZERO * tnorm)):
-            # Krylov/Saunders space exhausted with nonzero residual: the
-            # iterate freezes one step back and the grade is t.  The joint
-            # test catches a pivot that clears the column's own scale only
-            # because the column is small: with beta_{t+1} and gamma_t both
-            # zero against ||T||, dividing by gamma^[2] would add a
-            # noise-level direction to x and the beta test would then zero r.
-            g = t
-            termination = TERM_GAMMA_ZERO
-            if trace is not None:
-                record(0.0, 0.0, 1.0, 0.0, d1)
-            break
-
-        c = gamma_pre / gamma2
-        s = beta_next / gamma2
-        cc = c.conjugate() if cs else c
-        tau = cc * phi
-        phi = s * phi
-        # d_t = (u_t - delta2 d_{t-1} - eps_t d_{t-2}) / gamma2, in place
-        dvec = dbufs[t % 3]
-        np.subtract(u, delta2 * d1, out=dvec)
-        dvec -= eps_cur * d2
-        dvec /= gamma2
-        d2 = d1
-        d1 = dvec
-        x += tau * dvec
-        if carry_y:
-            e1, e2 = (v - delta2 * e1 - eps_cur * e2) / gamma2, e1
-            y = y + tau * e1
-
-        if beta_next <= EPS_ZERO * beta1:
-            g = t
-            termination = TERM_BETA_ZERO
-            rbrev = zeros.copy()
-            rhat = rbrev if m is None else zeros.copy()
-            if trace is not None:
-                record(gamma2, c, s, tau, dvec)
-            break
-
-        q /= beta_next        # q is v_{t+1} from here on
-        v_next = q
-        u_next = partner(v_next, wq, beta_next)
-        rbrev *= s * s
-        rbrev -= (phi * cc) * v_next
-        if m is not None:     # with no m, rhat is rbrev
-            rhat *= s * s
-            rhat -= (phi * cc) * (np.conj(u_next) if cs else u_next)
-        if trace is not None:
-            record(gamma2, c, s, tau, dvec)
-        if ls_converged:
-            # the normal-equation residual has hit its target: the grade is
-            # reached in floating point and further steps only compound
-            # roundoff through the direction recurrence
-            g = t
-            termination = TERM_GAMMA_ZERO
-            break
-        v_prev, v, u, beta = v, v_next, u_next, beta_next
+    if beta1 == 0.0:
+        # stopped before the first step: x = 0 and both proxies are zero
+        termination = TERM_BETA_ZERO if m is None else TERM_NULL_PRECONDITIONED_RHS
+        x, phi, rbrev, rhat = zeros, 0.0, zeros.copy(), zeros.copy()
+    else:
+        max_iter = opts.resolved_max_iterations(a.dim)
+        phi = beta1
+        v = b / beta1
+        u = partner(v, w, beta1)
+        rbrev = b.copy()          # r_breve_0 = b
+        # r_hat_0 = M b (Hermitian) or conj(M) b (complex-symmetric, where the
+        # proxy is conj(S) S^T r throughout, hence the conjugated start)
+        rhat = rbrev if m is None else (np.conj(w) if cs else w.copy())
+        beta = beta1
+        c: complex = -1.0
+        s = 0.0
+        delta: complex = 0.0      # delta_t entering the next rotation
+        eps_next = 0.0
+        x = zeros.copy()          # x_t, updated in place
+        d1 = d2 = v_prev = zeros  # d_{t-1}, d_{t-2}, v_{t-1}: read-only
+        # d_t is built into the buffer that held d_{t-3}
+        dbufs = (np.empty_like(zeros), np.empty_like(zeros), np.empty_like(zeros))
+        buffer = ReorthBuffer(cs) if opts.reorthogonalize else None
         if buffer is not None:
             buffer.push(v, None if m is None else u)
+        # a recorded preconditioned Hermitian solve carries y_t with x_t = M y_t,
+        # for ||x_t||^2_{M^+} = <y_t, x_t>: e_t runs the d_t recurrence on v_t in
+        # place of u_t = M v_t, so d_t = M e_t (reorthogonalization keeps w = M z)
+        carry_y = trace is not None and m is not None and not cs
+        y = e1 = e2 = zeros
 
-    return report(x, rbrev, rhat, phi, termination, t, g, beta1)
+        def record(gamma2, c, s, tau, dvec):
+            trace.iterates.append(x.copy())
+            if m is None:
+                trace.residuals.append(rbrev.copy())
+                trace.basis.append(v.copy())
+            else:
+                trace.rhats.append(rhat.copy())
+                trace.rbreves.append(rbrev.copy())
+                trace.ws.append(beta * u)
+                if carry_y:
+                    trace.x_mdag_sq.append(float(np.vdot(y, x).real))
+            trace.phis.append(float(phi))
+            trace.alphas.append(complex(alpha))
+            trace.betas.append(float(beta_next))
+            trace.gammas_pre.append(complex(gamma_pre))
+            trace.gammas2.append(float(gamma2))
+            trace.cs.append(complex(c))
+            trace.ss.append(float(s))
+            trace.taus.append(complex(tau))
+            trace.directions.append(dvec.copy())
+
+        termination = TERM_MAX_ITER
+        tnorm = 0.0
+        for t in range(1, max_iter + 1):
+            q = a.apply(u)
+            alpha = np.dot(u, q) if cs else float(np.vdot(u, q).real)
+            q -= alpha * v
+            q -= beta * v_prev
+            wq = None if m is None else m.apply(np.conj(q) if cs else q)
+            if buffer is not None:
+                q, wq = buffer.apply(q, wq)
+            beta_next = norm(q) if m is None else _beta_from(q, wq, cs, beta1 * beta1)
+
+            # previous rotation applied to the new tridiagonal column
+            delta2 = (c.conjugate() if cs else c) * delta + s * alpha
+            gamma_pre = s * delta - c * alpha
+            eps_cur = eps_next
+            eps_next = s * beta_next
+            delta = -c * beta_next
+            gamma2 = math.sqrt(abs(gamma_pre) ** 2 + beta_next**2)
+
+            # ||A r_{t-1}|| estimate (in the reduced space when preconditioned);
+            # zero exactly when least squares is solved.  abs(complex(a, b)) is
+            # the C library's hypot, as np.hypot is; math.hypot is not.
+            arnorm_prev = phi * abs(complex(abs(gamma_pre), abs(delta)))
+            if t == 1:
+                arnorm0 = arnorm_prev
+            ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
+
+            col = abs(alpha) + beta + beta_next
+            # running estimate of ||T||; beta_1 is ||b||, not an entry of T
+            tnorm = max(tnorm, col if t > 1 else abs(alpha) + beta_next)
+            if (gamma2 <= EPS_ZERO * col
+                    or (beta_next <= EPS_ZERO * beta1
+                        and abs(gamma_pre) <= EPS_ZERO * tnorm)):
+                # Krylov/Saunders space exhausted with nonzero residual: the
+                # iterate freezes one step back and the grade is t.  The joint
+                # test catches a pivot that clears the column's own scale only
+                # because the column is small: with beta_{t+1} and gamma_t both
+                # zero against ||T||, dividing by gamma^[2] would add a
+                # noise-level direction to x and the beta test would then zero r.
+                termination = TERM_GAMMA_ZERO
+                if trace is not None:
+                    record(0.0, 0.0, 1.0, 0.0, d1)
+                break
+
+            c = gamma_pre / gamma2
+            s = beta_next / gamma2
+            cc = c.conjugate() if cs else c
+            tau = cc * phi
+            phi = s * phi
+            # d_t = (u_t - delta2 d_{t-1} - eps_t d_{t-2}) / gamma2, in place
+            dvec = dbufs[t % 3]
+            np.subtract(u, delta2 * d1, out=dvec)
+            dvec -= eps_cur * d2
+            dvec /= gamma2
+            d2 = d1
+            d1 = dvec
+            x += tau * dvec
+            if carry_y:
+                e1, e2 = (v - delta2 * e1 - eps_cur * e2) / gamma2, e1
+                y = y + tau * e1
+
+            if beta_next <= EPS_ZERO * beta1:
+                termination = TERM_BETA_ZERO
+                rbrev = zeros.copy()
+                rhat = rbrev if m is None else zeros.copy()
+                if trace is not None:
+                    record(gamma2, c, s, tau, dvec)
+                break
+
+            q /= beta_next        # q is v_{t+1} from here on
+            v_next = q
+            u_next = partner(v_next, wq, beta_next)
+            rbrev *= s * s
+            rbrev -= (phi * cc) * v_next
+            if m is not None:     # with no m, rhat is rbrev
+                rhat *= s * s
+                rhat -= (phi * cc) * (np.conj(u_next) if cs else u_next)
+            if trace is not None:
+                record(gamma2, c, s, tau, dvec)
+            if ls_converged:
+                # the normal-equation residual has hit its target: least squares
+                # is solved to working accuracy, with no breakdown and so no
+                # grade; further steps only compound roundoff
+                termination = TERM_NORMAL_RESIDUAL
+                break
+            v_prev, v, u, beta = v, v_next, u_next, beta_next
+            if buffer is not None:
+                buffer.push(v, None if m is None else u)
+
+    plain = m is None
+    return SolveReport(x=x, r=rbrev if plain else None, phi=float(phi),
+                       norm_b=norm_b, termination=termination, iterations=t,
+                       kind=kind, beta1=beta1, r_hat=None if plain else rhat,
+                       r_breve=None if plain else rbrev, trace=trace)

@@ -76,7 +76,7 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     tg = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
     # the NPC test -c_{t-1} gamma_t <= 0 at every t, with c_0 = -1
     c_prev = np.concatenate(([-1.0], np.real(trace.cs[:steps - 1])))
-    beta_prev = np.concatenate(([report.beta1 or 0.0], betas[:-1]))
+    beta_prev = np.concatenate(([report.beta1], betas[:-1]))
     npc = (-c_prev * np.real(trace.gammas_pre[:steps])
            <= NPC_TOL * (np.abs(alphas) + betas + beta_prev))
     detected_at = int(np.argmax(npc)) + 1 if npc.any() else None
@@ -174,7 +174,7 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
            + floor * (n_arh + n_arh[:, None]))
     flag(np.tril(val > tol, -1), val, lambda k: f"rhat_A_rhat[i={k + 1}]")
     # curvature identity at step t (r_hat_0 = w_1 = M b)
-    phi_prev = np.array([report.beta1 or nb] + trace.phis[:p - 1])
+    phi_prev = np.array([report.beta1] + trace.phis[:p - 1])
     c_prev = np.concatenate(([-1.0], np.real(trace.cs[:p - 1])))
     lhs = np.einsum("ij,ij->i", rhat[:-1].conj(), arhat[:-1]).real
     rhs = -(phi_prev**2) * c_prev * np.real(trace.gammas_pre[:p])

@@ -201,12 +201,11 @@ def plift(report: SolveReport) -> np.ndarray:
     d = 20..60, range-matched solves end below 2e-16 beta_1^2 and genuine
     lifts at 1e-3 beta_1^2 or more.)
     """
-    if not report.preconditioned or report.r_hat is None or report.r_breve is None:
-        raise ValueError("plift needs a preconditioned solve report with "
-                         "r_hat and r_breve populated")
+    if report.r_hat is None:
+        raise ValueError("plift needs a preconditioned solve report")
     x = report.x
     if (norm(report.r_hat) == 0.0
-            or report.phi**2 <= 1e-12 * (report.beta1 or 0.0) ** 2):
+            or report.phi**2 <= 1e-12 * report.beta1**2):
         return x.copy()
     if report.kind == COMPLEX_SYMMETRIC:
         rh = np.conj(report.r_hat)
@@ -258,9 +257,8 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
     r_true = b - a.apply(x)
     return SolveReport(x=x, r=r_true, phi=red.phi, norm_b=norm(b),
                        termination=red.termination, iterations=red.iterations,
-                       grade=red.grade, kind=kind, preconditioned=True,
-                       r_hat=rhat, r_breve=r_true, trace=None, reduced=red,
-                       beta1=norm(bt))
+                       kind=kind, beta1=norm(bt), r_hat=rhat, r_breve=r_true,
+                       reduced=red)
 
 
 def sublift(report: SolveReport, s: SubOperator) -> np.ndarray:

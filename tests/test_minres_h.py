@@ -7,8 +7,8 @@ from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                               KroneckerOperator)
 from pinv_minres.minres_cs import solve_cs
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
-                                  TERM_MAX_ITER, SolveOptions, lift, solve,
-                                  solve_skew)
+                                  TERM_MAX_ITER, TERM_NORMAL_RESIDUAL,
+                                  SolveOptions, lift, solve, solve_skew)
 from pinv_minres.oracle import pinv
 from pinv_minres.pminres import (Preconditioner, plift, psolve_cs, psolve_h,
                                  sublift, subsolve)
@@ -67,6 +67,11 @@ class TestSolve:
         assert rep.termination == TERM_MAX_ITER
         assert rep.iterations == 3
         assert rep.grade is None
+
+    def test_plain_report_facts(self):
+        rep = solve(DenseOperator(np.eye(3), HERMITIAN), [3.0, 0.0, 4.0])
+        assert not rep.preconditioned and rep.r_hat is None
+        assert rep.beta1 == rep.norm_b == 5.0
 
 
 class TestStateInvariants:
@@ -284,6 +289,25 @@ def _dense_batch_system(seed, k):
     a = rand_matrix(HERMITIAN, d, r, int(rng.integers(2**31)))
     b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return a, b, rng
+
+
+class TestGradeIsTrue:
+    """A report claims a grade only where it stopped on an exact breakdown,
+    and there the grade is rank + 1 for the generator's generic b.  The
+    normal-residual stop solves least squares to working accuracy one to
+    sixteen steps before the grade and claims none."""
+
+    def test_plain_grades_on_generator_sample(self):
+        normal_residual = 0
+        for seed in (1, 2):
+            for k in range(300):
+                a, b, _ = _dense_batch_system(seed, k)
+                rep = solve(DenseOperator(a, HERMITIAN), b,
+                            SolveOptions(reorthogonalize=True))
+                normal_residual += rep.termination == TERM_NORMAL_RESIDUAL
+                if rep.grade is not None:
+                    assert rep.grade == np.linalg.matrix_rank(a) + 1, (seed, k)
+        assert normal_residual > 0
 
 
 class TestBetaZeroIsTrue:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import rel_err, singular_preconditioned
 from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator,
                               NonFiniteOperatorOutput)
 from pinv_minres.minres_cs import solve_cs
@@ -17,7 +17,7 @@ from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
                                  sublift, subsolve)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rand_matrix, rng_for)
-from reference import precon_matrix
+from reference import krylov_grade, precon_matrix
 
 
 def random_economy_preconditioner(d, rank, seed, real=False):
@@ -94,6 +94,7 @@ class TestPsolveH:
         rep = psolve_h(a, m, [0.0, 1.0])       # b orthogonal to range(M)
         assert rep.termination == TERM_NULL_PRECONDITIONED_RHS
         assert np.all(rep.x == 0)
+        assert rep.preconditioned and rep.beta1 == 0.0 and rep.grade is None
 
     def test_indefinite_preconditioner_rejected(self):
         a = DenseOperator(np.eye(3), HERMITIAN)
@@ -162,6 +163,25 @@ class TestPsolveH:
             prev = seminorm
 
 
+class TestGradeIsTrue:
+    """A preconditioned or reduced report claims a grade only where it is
+    the true one, the dimension of K(M A, M b).  21 of the 64 solves made
+    without reorthogonalisation stop on the normal residual and claim none:
+    at t = 21 for rank(M) = 25 and 30, the grade, and at t = 23-25 for
+    rank(M) = 20, past the grade of 20."""
+
+    @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
+    @pytest.mark.parametrize("rank", [10, 20, 25, 30])
+    def test_grade_is_the_krylov_grade(self, rank, reorth):
+        opts = SolveOptions(reorthogonalize=reorth)
+        for seed in range(8):
+            a, m, b = singular_preconditioned(seed, rank)
+            g = krylov_grade(a, b, precon_matrix(m))
+            op = DenseOperator(a, HERMITIAN)
+            for rep in (psolve_h(op, m, b, opts), subsolve(op, m.factor, b, opts)):
+                assert rep.grade in (None, g), (seed, rep.termination)
+
+
 class TestPsolveCs:
     @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -224,8 +244,7 @@ class TestPlift:
     def test_zero_proxy_returns_iterate(self):
         rep = SolveReport(x=np.array([1.0, 2.0], dtype=complex), r=None,
                           phi=0.0, norm_b=1.0, termination=TERM_BETA_ZERO,
-                          iterations=1, grade=1, kind=HERMITIAN,
-                          preconditioned=True,
+                          iterations=1, kind=HERMITIAN, beta1=1.0,
                           r_hat=np.zeros(2, dtype=complex),
                           r_breve=np.zeros(2, dtype=complex))
         assert np.allclose(plift(rep), [1.0, 2.0])
@@ -263,8 +282,7 @@ class TestPlift:
     def test_degenerate_denominator(self):
         rep = SolveReport(x=np.ones(2, dtype=complex), r=None, phi=1.0,
                           norm_b=1.0, termination=TERM_GAMMA_ZERO,
-                          iterations=1, grade=1, kind=HERMITIAN,
-                          preconditioned=True,
+                          iterations=1, kind=HERMITIAN, beta1=1.0,
                           r_hat=np.array([1.0, 0.0], dtype=complex),
                           r_breve=np.array([0.0, 1.0], dtype=complex))
         with pytest.raises(ValueError, match="degenerate lifting denominator"):
