@@ -242,7 +242,7 @@ def cmd_equiv(args):
         worst = 0.0
         divergent = None
         for label, s_op in (("economy", s_eco), ("psd_root", s_root)):
-            sub = subsolve(op, s_op, b, opts, kind)
+            sub = subsolve(op, s_op, b, opts)
             for t, xt_red in enumerate(sub.reduced.trace.iterates, start=1):
                 if t > len(rep.trace.iterates):
                     break

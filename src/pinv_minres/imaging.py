@@ -310,7 +310,7 @@ def deblur_channel(problem: dict, k: int, iters: int) -> dict:
            "tsvd": baselines.tsvd_solve_kronecker(
                z, bmat, rank_pairs=subs["s1"].rc ** 2)}
     for name, s_op in subs.items():
-        sub = pminres.subsolve(op, s_op, bvec, opts, core.HERMITIAN)
+        sub = pminres.subsolve(op, s_op, bvec, opts)
         got[name] = sub
         got[f"{name}_lifted"] = pminres.sublift(sub, s_op)
     return got

@@ -22,14 +22,14 @@ def solve_cs(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveRep
     if a.kind != COMPLEX_SYMMETRIC:
         raise ValueError(
             f"solve_cs expects a complex_symmetric operator, got {a.kind!r}")
-    return _minres(a, b, opts or SolveOptions(), complex_symmetric=True)
+    return _minres(a, b, opts or SolveOptions())
 
 
-def lift_cs(x: np.ndarray, r: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
+def lift_cs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Lifted vector x - (<conj(r), x> / ||conj(r)||^2) conj(r): ``lift``
     along conj(r), which has the norm of r.
 
     For real x and r this reduces to the Hermitian lifting formula.  A
-    (near-)zero r returns x unchanged.
+    zero r returns x unchanged.
     """
-    return lift(x, np.conj(as_vector(r)), zero_tol)
+    return lift(x, np.conj(as_vector(r)))

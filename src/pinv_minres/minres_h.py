@@ -12,6 +12,7 @@ solution exactly at the final iteration.
 The one recurrence engine, ``_minres``, lives here: ``solve``, ``solve_skew``,
 ``minres_cs.solve_cs`` and ``pminres.psolve_h``/``psolve_cs`` wrap it, and
 ``ReorthBuffer`` (re-exported by ``pminres``) is its reorthogonalization.
+The operator's declared kind picks the Lanczos or the Saunders recurrence.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ class SolveOptions:
     record_trace: bool = False
     reorthogonalize: bool = False
 
-    def resolved_max_iterations(self, dim: int) -> int:
-        if self.max_iterations is None:
-            return 2 * dim + 10
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        return self.max_iterations
-
 
 @dataclass
 class Trace:
@@ -92,7 +86,6 @@ class SolveReport:
     x: np.ndarray
     r: np.ndarray | None                  # b - A x; None from psolve_h/_cs
     phi: float
-    norm_b: float
     termination: str
     iterations: int
     kind: str
@@ -114,19 +107,19 @@ class SolveReport:
         return self.r_hat is not None
 
 
-def lift(x: np.ndarray, r: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
+def lift(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Lifted vector x - (<r, x> / ||r||^2) r.
 
     With r the final MINRES residual this is the pseudo-inverse solution;
     at earlier iterations it is the orthogonal projection of x onto
-    A K_t(A, b).  A (near-)zero r returns x unchanged.  The result is
+    A K_t(A, b).  A zero r returns x unchanged.  The result is
     float64 when x and r both are, and complex128 otherwise.
     """
     real = np.asarray(x).dtype == np.asarray(r).dtype == np.float64
     x = np.asarray(x, dtype=np.float64 if real else np.complex128)
     r = as_vector(r, x.shape[0], real)
     nr = norm(r)
-    if nr <= zero_tol or nr == 0.0:
+    if nr == 0.0:
         return x.copy()
     return x - (np.vdot(r, x) / (nr * nr)) * r
 
@@ -244,8 +237,7 @@ def _beta_from(z: np.ndarray, w: np.ndarray, complex_symmetric: bool,
     return float(np.sqrt(max(raw.real, 0.0)))
 
 
-def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
-            complex_symmetric: bool = False) -> SolveReport:
+def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
     """The Lanczos/Saunders-plus-Givens recurrence behind every solver.
 
     x_t minimizes ||b - A x||_M over K_t(M A, M b) for an optional PSD
@@ -253,9 +245,10 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     u_t = w_t / beta_t, with w_t = M z_t (M conj(z_t) in the Saunders
     process).  With no ``m`` (M = I) u_t is v_t (conj(v_t) in the Saunders
     process), beta_t = ||z_t|| and both residual proxies are the residual,
-    so no preconditioner apply, PSD check or extra vector is spent.  The
-    complex-symmetric flag switches in the Saunders modifications (bilinear
-    pairings, complex cosine, conjugated direction and residual updates).
+    so no preconditioner apply, PSD check or extra vector is spent.  An
+    operator declared complex-symmetric switches in the Saunders
+    modifications (bilinear pairings, complex cosine, conjugated direction
+    and residual updates); every other kind runs the Lanczos recurrence.
     A plain Hermitian solve runs in float64 when ``working_vector`` says so
     (its scalars are real anyway), and then reports float64 vectors and
     trace.
@@ -269,15 +262,13 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
     built in place into three rotating buffers, in the order of operations
     of the textbook expression.
     """
-    cs = complex_symmetric
+    cs = a.kind == COMPLEX_SYMMETRIC
     if m is None and not cs:
         b = working_vector(a, b)
     else:
         b = as_vector(b, a.dim)
     if m is not None and m.dim != a.dim:
         raise ValueError("operator and preconditioner dimensions differ")
-    kind = COMPLEX_SYMMETRIC if cs else HERMITIAN
-    norm_b = norm(b)
     zeros = np.zeros(a.dim, dtype=b.dtype)
     trace = Trace() if opts.record_trace else None
 
@@ -289,11 +280,11 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
 
     if m is None:
         w = None
-        beta1 = norm_b
+        beta1 = norm(b)
     else:
         w = m.apply(np.conj(b) if cs else b)
         beta1 = _beta_from(b, w, cs)
-        if norm_b == 0.0 or beta1 <= EPS_ZERO * np.sqrt(norm(b) * norm(w) + 1e-300):
+        if beta1 <= EPS_ZERO * np.sqrt(norm(b) * norm(w) + 1e-300):
             beta1 = 0.0       # M b is zero: b lies in null(M)
 
     t = 0
@@ -302,7 +293,10 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
         termination = TERM_BETA_ZERO if m is None else TERM_NULL_PRECONDITIONED_RHS
         x, phi, rbrev, rhat = zeros, 0.0, zeros.copy(), zeros.copy()
     else:
-        max_iter = opts.resolved_max_iterations(a.dim)
+        max_iter = (2 * a.dim + 10 if opts.max_iterations is None
+                    else opts.max_iterations)
+        if max_iter < 1:
+            raise ValueError("max_iterations must be >= 1")
         phi = beta1
         v = b / beta1
         u = partner(v, w, beta1)
@@ -441,6 +435,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None,
 
     plain = m is None
     return SolveReport(x=x, r=rbrev if plain else None, phi=float(phi),
-                       norm_b=norm_b, termination=termination, iterations=t,
-                       kind=kind, beta1=beta1, r_hat=None if plain else rhat,
+                       termination=termination, iterations=t,
+                       kind=a.kind, beta1=beta1, r_hat=None if plain else rhat,
                        r_breve=None if plain else rbrev, trace=trace)

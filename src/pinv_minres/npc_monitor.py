@@ -27,12 +27,15 @@ STRICT_TOL = 1e-10       # relative slack of the strict inequalities
 
 @dataclass
 class NpcCertificate:
-    detected: bool
+    """The first detection; every field is None when there is none."""
+
     iteration: int | None            # first t with -c_{t-1} gamma_t <= 0
     curvature: float | None          # <r_hat_{t-1}, A r_hat_{t-1}>
     direction: np.ndarray | None     # r_hat_{t-1}
-    lambda_min_at_detection: float | None
-    lambda_min_final: float          # lambda_min(T_g); > 0 certifies no NPC seen
+
+    @property
+    def detected(self) -> bool:
+        return self.iteration is not None
 
 
 @dataclass
@@ -58,12 +61,7 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     every step t = 1..g, before and after a detection.  They are read from
     the report, so M may be any PSD operator (a bare apply function too),
     no M^+ is formed, and the one product by A is the detection's curvature."""
-    if report.kind != HERMITIAN or not report.preconditioned:
-        raise ValueError("the curvature monitor applies to preconditioned "
-                         "hermitian solves only")
-    trace = report.trace
-    if trace is None:
-        raise ValueError("the solve must be run with record_trace enabled")
+    trace = _psolve_h_trace(report)
     if not trace.iterates:
         raise ValueError(f"the solve made no iteration (it stopped "
                          f"{report.termination!r}); there is nothing to monitor")
@@ -91,13 +89,21 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
         detected_at)
 
     if detected_at is None:
-        return NpcCertificate(False, None, None, None, None,
-                              monot.lambda_mins[-1]), monot
+        return NpcCertificate(None, None, None), monot
     rhat_prev = trace.rhats[detected_at - 2] if detected_at >= 2 else m.apply(b)
     curvature = float(np.vdot(rhat_prev, a.apply(rhat_prev)).real)
-    return NpcCertificate(True, detected_at, curvature, rhat_prev.copy(),
-                          monot.lambda_mins[detected_at - 1],
-                          monot.lambda_mins[-1]), monot
+    return NpcCertificate(detected_at, curvature, rhat_prev.copy()), monot
+
+
+def _psolve_h_trace(report: SolveReport):
+    """The recorded trace of a psolve_h report; any other report raises."""
+    if (report.kind != HERMITIAN or not report.preconditioned
+            or report.reduced is not None):
+        raise ValueError("the curvature monitor applies to psolve_h reports "
+                         "only (a subsolve report's trace is reduced-space)")
+    if report.trace is None:
+        raise ValueError("the solve must be run with record_trace enabled")
+    return report.trace
 
 
 def _norms(rows) -> np.ndarray:
@@ -134,9 +140,7 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     up to d eps ||r_hat_0|| ||q||; each identity's floor is that bound
     summed over the proxies the identity contains.
     """
-    trace = report.trace
-    if trace is None:
-        raise ValueError("verify_identities needs a recorded solve")
+    trace = _psolve_h_trace(report)
     b = as_vector(b, a.dim)
     steps = len(trace.iterates)
     p = steps if monot.detected_at is None else monot.detected_at - 1

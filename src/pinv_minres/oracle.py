@@ -26,7 +26,10 @@ class OracleDecomposition:
 
     u: np.ndarray          # d x r, orthonormal columns
     values: np.ndarray     # r nonzero eigenvalues / positive singular values
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.u.shape[1]
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -57,10 +60,9 @@ def hermitian_eig(a) -> OracleDecomposition:
     a = _as_matrix(a)
     lam, q = np.linalg.eigh(a)
     if a.shape[0] == 0:
-        return OracleDecomposition(q, lam, 0)
+        return OracleDecomposition(q, lam)
     keep = np.abs(lam) > RANK_RTOL * np.abs(lam).max()
-    return OracleDecomposition(u=q[:, keep], values=lam[keep].astype(np.float64),
-                               rank=int(keep.sum()))
+    return OracleDecomposition(u=q[:, keep], values=lam[keep].astype(np.float64))
 
 
 def takagi(a) -> OracleDecomposition:
@@ -82,8 +84,7 @@ def takagi(a) -> OracleDecomposition:
     cutoff = RANK_RTOL * np.abs(lam).max() if d else 0.0
     keep = lam > cutoff
     u = v[:d, keep] + 1j * v[d:, keep]
-    return OracleDecomposition(u=u, values=lam[keep].astype(np.float64),
-                               rank=int(keep.sum()))
+    return OracleDecomposition(u=u, values=lam[keep].astype(np.float64))
 
 
 def lifted_problem_pinv(a, m_factor_p, b, kind: str = HERMITIAN) -> np.ndarray:

@@ -7,10 +7,10 @@ and ``r_breve`` agrees with b - A x_t on range(M); together they allow the
 lifting correction without extra operator products.  The reduced solve
 (``subsolve``) runs plain MINRES on S^H A S for any factor M = S S^H and is
 analytically equivalent, iterate by iterate.  ``SubOperator.reduce`` builds
-that operator: over a Kronecker A = Z (x) Z with a ``KroneckerSubOperator``
-S = C (x) C it is formed once as (C^T Z C) (x) (C^T Z C), so the reduced
-iterations make no full-size products; other factors compose S^H, A and S
-on every iteration.
+that operator, of A's kind: over a Kronecker A = Z (x) Z with a
+``KroneckerSubOperator`` S = C (x) C it is formed once as (C^T Z C) (x)
+(C^T Z C), so the reduced iterations make no full-size products; other
+factors compose S^H, A and S on every iteration.
 
 ``psolve_h``/``psolve_cs`` wrap the recurrence engine of ``minres_h``;
 ``ReorthBuffer`` and ``NotPositiveSemidefinite`` live there too.
@@ -68,8 +68,8 @@ class Preconditioner:
         is taken as conj(conj(v) P), and ``factor`` is built on access."""
         p = np.asarray(p, dtype=np.complex128)
         sigma = np.asarray(sigma, dtype=np.float64)
-        if p.shape[1] != sigma.shape[0]:
-            raise ValueError("basis/weight size mismatch")
+        if p.ndim != 2 or sigma.shape != (p.shape[1],):
+            raise ValueError("the basis must be a d x r matrix with r weights")
         if np.any(sigma <= 0):
             raise ValueError("economy weights must be strictly positive")
         return cls(p.shape[0], lambda v: p @ (sigma * np.conj(np.conj(v) @ p)),
@@ -106,18 +106,18 @@ class SubOperator:
     def apply_conj(self, v) -> np.ndarray:       # conj(S) v
         return np.conj(self.apply(np.conj(as_vector(v, self.m))))
 
-    def reduce(self, a: LinearOperator, kind: str) -> LinearOperator:
-        """The reduced operator S^H A S (S^T A S for the complex-symmetric
-        kind) on C^m, for an operator ``a`` on C^d.  Here it is the
-        composition of three products, made on every application."""
-        if kind == HERMITIAN:
+    def reduce(self, a: LinearOperator) -> LinearOperator:
+        """The reduced operator on C^m for an operator ``a`` on C^d, of a's
+        kind: S^T A S for a complex-symmetric A, S^H A S otherwise.  Here it
+        is the composition of three products, made on every application."""
+        if a.kind == COMPLEX_SYMMETRIC:
             return CallableOperator(
-                self.m, HERMITIAN,
-                lambda xt: self.apply_adjoint(a.apply(self.apply(xt))),
-                real=a.real and self.real)
+                self.m, COMPLEX_SYMMETRIC,
+                lambda xt: self.apply_transpose(a.apply(self.apply(xt))))
         return CallableOperator(
-            self.m, COMPLEX_SYMMETRIC,
-            lambda xt: self.apply_transpose(a.apply(self.apply(xt))))
+            self.m, a.kind,
+            lambda xt: self.apply_adjoint(a.apply(self.apply(xt))),
+            real=a.real and self.real)
 
 
 class DenseSubOperator(SubOperator):
@@ -155,16 +155,16 @@ class KroneckerSubOperator(SubOperator):
     def apply_adjoint(self, v):
         return kron_apply(self.c.T, as_vector(v, self.d, real=True))
 
-    def reduce(self, a, kind):
-        """Over a ``KroneckerOperator`` A = Z (x) Z and the Hermitian kind,
+    def reduce(self, a):
+        """Over a ``KroneckerOperator`` A = Z (x) Z, which is Hermitian,
         S^H A S = (C^T Z C) (x) (C^T Z C) by the mixed-product rule: a
         Kronecker operator with an rc x rc factor, formed once and
         symmetrised against roundoff.  Other operators, complex-declared
-        ones included, and the complex-symmetric kind compose."""
-        if kind == HERMITIAN and isinstance(a, KroneckerOperator) and a.real:
+        ones included, compose."""
+        if isinstance(a, KroneckerOperator) and a.real:
             k = self.c.T @ a.z @ self.c
             return KroneckerOperator((k + k.T) / 2)
-        return super().reduce(a, kind)
+        return super().reduce(a)
 
 
 def psolve_h(a: LinearOperator, m: Preconditioner, b,
@@ -183,7 +183,7 @@ def psolve_cs(a: LinearOperator, m: Preconditioner, b,
     if a.kind != COMPLEX_SYMMETRIC:
         raise ValueError(
             f"psolve_cs expects a complex_symmetric operator, got {a.kind!r}")
-    return _minres(a, b, opts or SolveOptions(), m, complex_symmetric=True)
+    return _minres(a, b, opts or SolveOptions(), m)
 
 
 def plift(report: SolveReport) -> np.ndarray:
@@ -223,41 +223,41 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
              opts: SolveOptions | None = None,
              kind: str | None = None) -> SolveReport:
     """Reduced solve for M = S S^H: runs plain MINRES on the reduced
-    operator S^H A S (S^T A S in the complex-symmetric path) and maps the
-    iterate and residual back to the full space.
+    operator S^H A S (S^T A S for a complex-symmetric A) and maps the
+    iterate and residual back to the full space.  The path follows A's
+    declared kind; ``kind``, if given, must be that kind.
 
     ``s.reduce`` builds the reduced operator: over a ``KroneckerOperator``
-    A = Z (x) Z with a ``KroneckerSubOperator`` S = C (x) C and the
-    Hermitian kind it is formed once as (C^T Z C) (x) (C^T Z C), so the
-    only full-space product of A is the final true residual; other factors
-    compose S^H A S on every iteration.
+    A = Z (x) Z with a ``KroneckerSubOperator`` S = C (x) C it is formed
+    once as (C^T Z C) (x) (C^T Z C), so the only full-space product of A
+    is the final true residual; other factors compose the reduced
+    operator on every iteration.
 
-    The returned report carries x = S x~, r_hat = S r~ (conj(S) r~ for the
-    complex-symmetric kind) and the true residual b - A x as both ``r`` and
+    The returned report carries x = S x~, r_hat = S r~ (conj(S) r~ for a
+    complex-symmetric A) and the true residual b - A x as both ``r`` and
     ``r_breve``, so ``plift`` applies to it unchanged; the reduced-space
-    report is attached as ``reduced``.  The Hermitian kind takes its dtype
+    report is attached as ``reduced``.  A Hermitian solve takes its dtype
     from ``working_vector`` as ``solve`` does when S is real.
     """
     if a.dim != s.d:
         raise ValueError("operator and sub-preconditioner dimensions differ")
-    kind = kind or a.kind
-    if kind == HERMITIAN:
+    if kind is not None and kind != a.kind:
+        raise ValueError(f"subsolve got kind {kind!r} for a {a.kind!r} operator")
+    if a.kind == HERMITIAN:
         b = working_vector(a, b) if s.real else as_vector(b, a.dim)
-        bt = s.apply_adjoint(b)
-        red = solve(s.reduce(a, kind), bt, opts)
+        red = solve(s.reduce(a), s.apply_adjoint(b), opts)
         rhat = s.apply(red.r)
-    elif kind == COMPLEX_SYMMETRIC:
+    elif a.kind == COMPLEX_SYMMETRIC:
         b = as_vector(b, a.dim)
-        bt = s.apply_transpose(b)
-        red = solve_cs(s.reduce(a, kind), bt, opts)
+        red = solve_cs(s.reduce(a), s.apply_transpose(b), opts)
         rhat = s.apply_conj(red.r)
     else:
-        raise ValueError(f"subsolve supports hermitian/complex_symmetric, got {kind!r}")
+        raise ValueError(f"subsolve takes hermitian/complex_symmetric, got {a.kind!r}")
     x = s.apply(red.x)
     r_true = b - a.apply(x)
-    return SolveReport(x=x, r=r_true, phi=red.phi, norm_b=norm(b),
+    return SolveReport(x=x, r=r_true, phi=red.phi,
                        termination=red.termination, iterations=red.iterations,
-                       kind=kind, beta1=norm(bt), r_hat=rhat, r_breve=r_true,
+                       kind=a.kind, beta1=red.beta1, r_hat=rhat, r_breve=r_true,
                        reduced=red)
 
 

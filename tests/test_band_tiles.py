@@ -92,7 +92,7 @@ class TestPlanChoice:
     def test_reduced_factor_takes_one_gemm(self, rng):
         a = KroneckerOperator(GaussianBlurToeplitz(256, 21, 3.0).z)
         reduced = KroneckerSubOperator(
-            rng.standard_normal((256, 16))).reduce(a, HERMITIAN)
+            rng.standard_normal((256, 16))).reduce(a)
         assert reduced.z.shape == (16, 16)
         assert reduced._tiles is None
 

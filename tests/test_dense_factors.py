@@ -66,6 +66,13 @@ def test_rank_is_the_width_of_the_economy_basis():
     assert Preconditioner(12, lambda v: v).rank is None
 
 
+def test_economy_shape_errors_are_value_errors():
+    with pytest.raises(ValueError, match="basis"):
+        Preconditioner.from_economy(np.ones(4), np.ones(1))      # 1-D basis
+    with pytest.raises(ValueError, match="basis"):
+        Preconditioner.from_economy(np.eye(4), np.ones(3))
+
+
 def test_economy_holds_no_copy_of_the_basis():
     # a 400 x 300 complex basis is 1.8 MiB; the preconditioner may add its
     # weights and bookkeeping, but no array of the basis's size

@@ -10,7 +10,7 @@ from pinv_minres.minres_h import SolveOptions
 from pinv_minres.minres_cs import solve_cs
 from pinv_minres.npc_monitor import (attach, check_monotonicity,
                                      verify_identities)
-from pinv_minres.pminres import Preconditioner, psolve_cs, psolve_h
+from pinv_minres.pminres import Preconditioner, psolve_cs, psolve_h, subsolve
 from pinv_minres.precon_factory import make_npc_matrix, make_npc_suite
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rng_for)
@@ -36,7 +36,6 @@ class TestDetection:
         m = Preconditioner.from_economy(q, rng.uniform(0.5, 2.0, 8))
         _, rep, cert, monot = run_monitored(a, m, np.ones(8, dtype=complex))
         assert not cert.detected
-        assert cert.lambda_min_final > 0
         assert all(lam > 0 for lam in monot.lambda_mins)
 
     def test_indefinite_diagonal_detects_immediately(self):
@@ -49,7 +48,7 @@ class TestDetection:
         assert cert.detected and cert.iteration == 1
         assert abs(rep.trace.alphas[0]) <= 1e-14
         assert abs(cert.curvature) <= 1e-12
-        assert cert.lambda_min_at_detection <= 1e-10
+        assert monot.lambda_mins[cert.iteration - 1] <= 1e-10
 
     def test_curvature_matches_identity_at_detection(self):
         a, u_plus, u_minus = make_npc_matrix(seed=2)
@@ -135,6 +134,19 @@ class TestAttachPreconditions:
                                        COMPLEX_SYMMETRIC), np.ones(6), TRACED)
         with pytest.raises(ValueError):
             attach(plain, op, m, np.ones(6, dtype=complex))
+
+    def test_rejects_subsolve_report_naming_psolve_h(self):
+        # a recorded subsolve report carries its trace on ``reduced`` only
+        a = rand_hermitian(8, 6, seed=515)
+        op = DenseOperator(a, HERMITIAN)
+        m = Preconditioner.from_economy(np.eye(8), np.ones(8))
+        b = np.ones(8, dtype=complex)
+        _, monot = attach(psolve_h(op, m, b, TRACED), op, m, b)
+        sub = subsolve(op, m.factor, b, TRACED)
+        with pytest.raises(ValueError, match="psolve_h"):
+            attach(sub, op, m, b)
+        with pytest.raises(ValueError, match="psolve_h"):
+            verify_identities(monot, sub, op, m, b)
 
     def test_zero_iteration_solve_is_named_as_such(self):
         # b = e2 is orthogonal to range(M) = span(e1): the solve stops

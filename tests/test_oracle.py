@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import clustered_singular_system
 from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
 from pinv_minres.minres_h import SolveOptions, solve
 from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,
@@ -8,7 +9,7 @@ from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,
                                 takagi)
 from pinv_minres.synthetic import (rand_complex_symmetric, rand_hermitian,
                                    rng_for)
-from reference import grade, verify_moore_penrose
+from reference import grade, krylov_grade, verify_moore_penrose
 
 
 class TestPinv:
@@ -116,6 +117,13 @@ class TestGrade:
             a = rand_complex_symmetric(d, r, seed=160 + k)
             b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             assert grade(a, b, COMPLEX_SYMMETRIC) <= numerical_rank(a) + 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clustered_spectrum(self, seed):
+        # Gram-Schmidt counts over the Krylov vectors read 20 (Arnoldi) and
+        # 18 (power sequence) on seeds 0, 3 and 5
+        a, b = clustered_singular_system(seed)
+        assert grade(a, b) == krylov_grade(a, b) == 19
 
 
 class TestLiftedProblemPinv:

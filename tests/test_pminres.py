@@ -243,7 +243,7 @@ class TestPsolveCs:
 class TestPlift:
     def test_zero_proxy_returns_iterate(self):
         rep = SolveReport(x=np.array([1.0, 2.0], dtype=complex), r=None,
-                          phi=0.0, norm_b=1.0, termination=TERM_BETA_ZERO,
+                          phi=0.0, termination=TERM_BETA_ZERO,
                           iterations=1, kind=HERMITIAN, beta1=1.0,
                           r_hat=np.zeros(2, dtype=complex),
                           r_breve=np.zeros(2, dtype=complex))
@@ -281,7 +281,7 @@ class TestPlift:
 
     def test_degenerate_denominator(self):
         rep = SolveReport(x=np.ones(2, dtype=complex), r=None, phi=1.0,
-                          norm_b=1.0, termination=TERM_GAMMA_ZERO,
+                          termination=TERM_GAMMA_ZERO,
                           iterations=1, kind=HERMITIAN, beta1=1.0,
                           r_hat=np.array([1.0, 0.0], dtype=complex),
                           r_breve=np.array([0.0, 1.0], dtype=complex))
@@ -335,11 +335,22 @@ class TestSubsolve:
             x2 = root @ sub2.reduced.trace.iterates[t]
             assert np.linalg.norm(x1 - x2) <= 1e-10 * max(np.linalg.norm(x1), 1e-300)
             # w_t = beta_t S v~_t is an M-only quantity
-            b1 = [sub1.reduced.norm_b] + sub1.reduced.trace.betas[:-1]
-            b2 = [sub2.reduced.norm_b] + sub2.reduced.trace.betas[:-1]
+            b1 = [sub1.reduced.beta1] + sub1.reduced.trace.betas[:-1]
+            b2 = [sub2.reduced.beta1] + sub2.reduced.trace.betas[:-1]
             w1 = b1[t] * m.factor.apply(sub1.reduced.trace.basis[t])
             w2 = b2[t] * (root @ sub2.reduced.trace.basis[t])
             assert np.linalg.norm(w1 - w2) <= 1e-10 * max(np.linalg.norm(w1), 1e-300)
+
+    def test_kind_must_be_the_operators(self):
+        # the complex-symmetric kind on a Hermitian A used to run the
+        # Saunders recurrence to max_iter, with x 99-154 % off, and report
+        # it as complex_symmetric
+        op = DenseOperator(rand_hermitian(12, 9, seed=3), HERMITIAN)
+        s = random_economy_preconditioner(12, 10, seed=0).factor
+        b = np.ones(12, dtype=complex)
+        with pytest.raises(ValueError, match="kind"):
+            subsolve(op, s, b, None, COMPLEX_SYMMETRIC)
+        assert subsolve(op, s, b, None, HERMITIAN).termination == TERM_GAMMA_ZERO
 
     def test_kronecker_factor_matches_dense(self, rng):
         c = rng.standard_normal((5, 3))

@@ -19,13 +19,15 @@ iterates.  The preconditioned runs are compared over their first 12 steps
 unreorthogonalised recurrences parts them.  Worst deviations measured over
 8 seeds: 1.1e-14 (solve), 5.1e-15 (solve_skew), 2.9e-13 (psolve_h) and
 4.1e-13 (subsolve) relative; the tolerance is 1e-10 throughout.  The
-complex-symmetric (Saunders) path has no scipy counterpart; the dense
-oracles are its reference."""
+complex-symmetric (Saunders) path has no scipy counterpart; its iterates
+are checked against a dense least-squares reference in
+``test_minres_cs.py``."""
 
 import numpy as np
 import pytest
 
-from conftest import singular_preconditioned
+from conftest import (clustered_singular_system, signed_values,
+                      singular_preconditioned, symmetric_system)
 from pinv_minres.core import HERMITIAN, SKEW_HERMITIAN, DenseOperator
 from pinv_minres.minres_h import SolveOptions, solve, solve_skew
 from pinv_minres.pminres import psolve_h, subsolve
@@ -35,16 +37,6 @@ from reference import krylov_grade, precon_matrix
 sla = pytest.importorskip("scipy.sparse.linalg")
 
 D = 30
-
-
-def _system(eigs, seed):
-    rng = rng_for(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((D, D)))
-    return (q * eigs) @ q.T, rng.standard_normal(D)
-
-
-def _signed(rng, n):
-    return rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
 
 
 def _scipy_iterates(a, b, n):
@@ -57,7 +49,7 @@ def _scipy_iterates(a, b, n):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_iterates_match_on_nonsingular_indefinite(seed):
-    a, b = _system(_signed(rng_for(1000 + seed), D), seed)
+    a, b = symmetric_system(signed_values(rng_for(1000 + seed), D), seed)
     rep = solve(DenseOperator(a, HERMITIAN), b,
                 SolveOptions(max_iterations=20, record_trace=True))
     xs = _scipy_iterates(a, b, 20)
@@ -69,15 +61,9 @@ def test_iterates_match_on_nonsingular_indefinite(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_residual_norms_match_on_singular(seed):
-    rank = 18
-    eigs = np.concatenate([_signed(rng_for(1000 + seed), rank),
-                           np.zeros(D - rank)])
-    a, b = _system(eigs, 500 + seed)
+    a, b = clustered_singular_system(seed)
     rep = solve(DenseOperator(a, HERMITIAN), b, SolveOptions(record_trace=True))
-    # 18 distinct nonzero eigenvalues and a generic b: the grade is 19 (the
-    # Arnoldi count of ``krylov_grade`` reads 20 on seeds 0, 3 and 5, whose
-    # smallest eigenvalue gaps are 4.5e-3, 4.4e-3 and 2.1e-4)
-    g = rank + 1
+    g = 19      # 18 distinct nonzero eigenvalues and a generic b
     assert rep.grade in (None, g)
     # compared before the grade and before the stopping step: on seed 5
     # (gaps of 2e-4) the normal-residual stop comes at t = 18, where both
