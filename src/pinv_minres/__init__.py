@@ -6,8 +6,8 @@ positive semi-definite preconditioners."""
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                    CallableOperator, DenseOperator, GaussianBlurToeplitz,
                    KroneckerOperator, LinearOperator, probe_symmetry)
-from .minres_cs import lift_cs, solve_cs
-from .minres_h import (SolveOptions, SolveReport, lift, solve, solve_skew)
+from .minres_h import (SolveOptions, SolveReport, lift, lift_cs, solve,
+                       solve_cs, solve_skew)
 from .oracle import (OracleDecomposition, check_rank_assumptions,
                      hermitian_eig, lifted_problem_pinv, pinv, takagi)
 from .pminres import (DenseSubOperator, KroneckerSubOperator, Preconditioner,

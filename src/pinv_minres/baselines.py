@@ -81,12 +81,15 @@ def tsvd_solve_kronecker(z, bmat, rank_pairs: int) -> BaselineReport:
     """Truncated SVD for A = Z (x) Z without forming A: the singular pairs
     of A are products of eigenvalue pairs of the symmetric factor Z.
 
-    ``bmat`` is the right-hand side as an n x n array; ``rank_pairs`` counts
-    retained (i, j) pairs, ordered by |lambda_i lambda_j| descending.  x is
+    ``bmat`` is the right-hand side as an n x n array; ``rank_pairs``, in
+    0..n^2, counts retained (i, j) pairs, ordered by |lambda_i lambda_j|
+    descending (a ``ValueError`` outside that range).  x is
     float64.  The residual ||Z X Z - B||_F is taken in Z's eigenbasis, as
     ||outer(lambda, lambda) * X~ - B~||_F, without two n^3 products by Z.
     """
     z = np.asarray(z, dtype=np.float64)
+    if not 0 <= rank_pairs <= z.size:
+        raise ValueError(f"rank_pairs must be in 0..{z.size}, got {rank_pairs}")
     bmat = np.asarray(bmat, dtype=np.float64)
     lam, q = np.linalg.eigh(z)
     lam2 = np.outer(lam, lam)

@@ -28,8 +28,7 @@ from .core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator, probe_symmetry
 from .imaging import (DEBLUR_SOLVERS, SSIM_WINDOW, ImagePlane, deblur_channel,
                       deblur_problem, phantom, psnr, read_image, ssim,
                       write_image)
-from .minres_cs import lift_cs, solve_cs
-from .minres_h import SolveOptions, lift, solve
+from .minres_h import SolveOptions, lift, lift_cs, solve, solve_cs
 from .npc_monitor import attach, check_monotonicity, verify_identities
 from .oracle import pinv
 from .pminres import (DenseSubOperator, Preconditioner, psolve_cs, psolve_h,

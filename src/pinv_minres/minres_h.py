@@ -1,4 +1,5 @@
-"""MINRES for Hermitian least-squares with a one-step lifting correction.
+"""MINRES for Hermitian, skew-Hermitian (run as the Hermitian (iA, ib)) and
+complex-symmetric least squares, with a one-step lifting correction.
 
 The solver runs the classical three-term Lanczos / Givens recurrence and
 stops when the residual reaches zero (beta hits zero), when the Krylov
@@ -7,12 +8,14 @@ subspace stops growing with a nonzero residual (gamma hits zero), or when
 grade, give the report a ``grade``.  After a gamma breakdown the final
 iterate is generally not the minimum-norm solution; ``lift`` removes its
 component along the final residual, which recovers the pseudo-inverse
-solution exactly at the final iteration.
+solution exactly at the final iteration.  The complex-symmetric (Saunders)
+process works through products A conj(v), with real sines and complex
+cosines, and ``lift_cs`` lifts along conj(r).
 
-The one recurrence engine, ``_minres``, lives here: ``solve``, ``solve_skew``,
-``minres_cs.solve_cs`` and ``pminres.psolve_h``/``psolve_cs`` wrap it, and
-``ReorthBuffer`` (re-exported by ``pminres``) is its reorthogonalization.
-The operator's declared kind picks the Lanczos or the Saunders recurrence.
+The one recurrence engine, ``_minres``, lives here with its
+reorthogonalization ``ReorthBuffer`` (re-exported by ``pminres``).  Every
+solver checks the operator's kind and calls it once; that kind picks the
+Lanczos or the Saunders recurrence.
 """
 
 from __future__ import annotations
@@ -124,26 +127,19 @@ def lift(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return x - (np.vdot(r, x) / (nr * nr)) * r
 
 
+def lift_cs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Lifted vector x - (<conj(r), x> / ||conj(r)||^2) conj(r): ``lift``
+    along conj(r), which has the norm of r, so for real x and r the
+    Hermitian formula.  A zero r returns x unchanged."""
+    return lift(x, np.conj(as_vector(r)))
+
+
 def solve(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
     """MINRES on a Hermitian operator; x_t minimizes ||b - A x|| over
     K_t(A, b) at every iteration."""
     if a.kind != HERMITIAN:
         raise ValueError(f"solve expects a hermitian operator, got {a.kind!r}")
     return _minres(a, b, opts or SolveOptions())
-
-
-class _TimesI(LinearOperator):
-    """iA for a skew-Hermitian A, a Hermitian operator.  Each product is one
-    ``a.apply``, which makes the checks, scaled by i in place."""
-
-    def __init__(self, a: LinearOperator):
-        super().__init__(a.dim, HERMITIAN)
-        self._a = a
-
-    def apply(self, v) -> np.ndarray:
-        out = self._a.apply(v)
-        out *= 1j
-        return out
 
 
 def solve_skew(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
@@ -154,9 +150,15 @@ def solve_skew(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveR
     """
     if a.kind != SKEW_HERMITIAN:
         raise ValueError(f"solve_skew expects a skew-hermitian operator, got {a.kind!r}")
-    report = _minres(_TimesI(a), 1j * as_vector(b, a.dim), opts or SolveOptions())
-    report.kind = SKEW_HERMITIAN
-    return report
+    return _minres(a, b, opts or SolveOptions())
+
+
+def solve_cs(a: LinearOperator, b, opts: SolveOptions | None = None) -> SolveReport:
+    """MINRES on a complex-symmetric operator; x_t minimizes ||b - A x||
+    over the Saunders subspace S_t(A, b)."""
+    if a.kind != COMPLEX_SYMMETRIC:
+        raise ValueError(f"solve_cs expects a complex_symmetric operator, got {a.kind!r}")
+    return _minres(a, b, opts or SolveOptions())
 
 
 class NotPositiveSemidefinite(RuntimeError):
@@ -249,6 +251,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
     operator declared complex-symmetric switches in the Saunders
     modifications (bilinear pairings, complex cosine, conjugated direction
     and residual updates); every other kind runs the Lanczos recurrence.
+    A skew-Hermitian A runs on the Hermitian (iA, ib): b is scaled by i at
+    entry and each product A u by i in place, and r is ib - iA x.
     A plain Hermitian solve runs in float64 when ``working_vector`` says so
     (its scalars are real anyway), and then reports float64 vectors and
     trace.
@@ -263,12 +267,18 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
     of the textbook expression.
     """
     cs = a.kind == COMPLEX_SYMMETRIC
-    if m is None and not cs:
+    skew = a.kind == SKEW_HERMITIAN
+    if m is None and a.kind == HERMITIAN:
         b = working_vector(a, b)
     else:
         b = as_vector(b, a.dim)
+    if skew:
+        b = 1j * b
     if m is not None and m.dim != a.dim:
         raise ValueError("operator and preconditioner dimensions differ")
+    max_iter = 2 * a.dim + 10 if opts.max_iterations is None else opts.max_iterations
+    if max_iter < 1:
+        raise ValueError("max_iterations must be >= 1")
     zeros = np.zeros(a.dim, dtype=b.dtype)
     trace = Trace() if opts.record_trace else None
 
@@ -293,10 +303,6 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
         termination = TERM_BETA_ZERO if m is None else TERM_NULL_PRECONDITIONED_RHS
         x, phi, rbrev, rhat = zeros, 0.0, zeros.copy(), zeros.copy()
     else:
-        max_iter = (2 * a.dim + 10 if opts.max_iterations is None
-                    else opts.max_iterations)
-        if max_iter < 1:
-            raise ValueError("max_iterations must be >= 1")
         phi = beta1
         v = b / beta1
         u = partner(v, w, beta1)
@@ -347,6 +353,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
         tnorm = 0.0
         for t in range(1, max_iter + 1):
             q = a.apply(u)
+            if skew:
+                q *= 1j
             alpha = np.dot(u, q) if cs else float(np.vdot(u, q).real)
             q -= alpha * v
             q -= beta * v_prev

@@ -12,8 +12,8 @@ that operator, of A's kind: over a Kronecker A = Z (x) Z with a
 (C^T Z C), so the reduced iterations make no full-size products; other
 factors compose S^H, A and S on every iteration.
 
-``psolve_h``/``psolve_cs`` wrap the recurrence engine of ``minres_h``;
-``ReorthBuffer`` and ``NotPositiveSemidefinite`` live there too.
+``psolve_h``, ``psolve_cs`` and ``subsolve`` run the recurrence engine of
+``minres_h``, where ``ReorthBuffer`` and ``NotPositiveSemidefinite`` live.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import numpy as np
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, CallableOperator,
                    KroneckerOperator, LinearOperator, as_vector, kron_apply,
                    norm, working_vector)
-from .minres_cs import lift_cs, solve_cs
 from .minres_h import (NotPositiveSemidefinite, ReorthBuffer, SolveOptions,
-                       SolveReport, _minres, lift, solve)
+                       SolveReport, _minres, lift)
 
 
 class Preconditioner:
@@ -110,14 +109,11 @@ class SubOperator:
         """The reduced operator on C^m for an operator ``a`` on C^d, of a's
         kind: S^T A S for a complex-symmetric A, S^H A S otherwise.  Here it
         is the composition of three products, made on every application."""
-        if a.kind == COMPLEX_SYMMETRIC:
-            return CallableOperator(
-                self.m, COMPLEX_SYMMETRIC,
-                lambda xt: self.apply_transpose(a.apply(self.apply(xt))))
-        return CallableOperator(
-            self.m, a.kind,
-            lambda xt: self.apply_adjoint(a.apply(self.apply(xt))),
-            real=a.real and self.real)
+        cs = a.kind == COMPLEX_SYMMETRIC
+        restrict = self.apply_transpose if cs else self.apply_adjoint
+        return CallableOperator(self.m, a.kind,
+                                lambda xt: restrict(a.apply(self.apply(xt))),
+                                real=a.real and self.real and not cs)
 
 
 class DenseSubOperator(SubOperator):
@@ -245,14 +241,14 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
         raise ValueError(f"subsolve got kind {kind!r} for a {a.kind!r} operator")
     if a.kind == HERMITIAN:
         b = working_vector(a, b) if s.real else as_vector(b, a.dim)
-        red = solve(s.reduce(a), s.apply_adjoint(b), opts)
-        rhat = s.apply(red.r)
+        restrict, rmap = s.apply_adjoint, s.apply
     elif a.kind == COMPLEX_SYMMETRIC:
         b = as_vector(b, a.dim)
-        red = solve_cs(s.reduce(a), s.apply_transpose(b), opts)
-        rhat = s.apply_conj(red.r)
+        restrict, rmap = s.apply_transpose, s.apply_conj
     else:
         raise ValueError(f"subsolve takes hermitian/complex_symmetric, got {a.kind!r}")
+    red = _minres(s.reduce(a), restrict(b), opts or SolveOptions())
+    rhat = rmap(red.r)
     x = s.apply(red.x)
     r_true = b - a.apply(x)
     return SolveReport(x=x, r=r_true, phi=red.phi,
@@ -267,6 +263,5 @@ def sublift(report: SolveReport, s: SubOperator) -> np.ndarray:
     red = report.reduced
     if red is None:
         raise ValueError("sublift needs a report produced by subsolve")
-    if red.kind == COMPLEX_SYMMETRIC:
-        return s.apply(lift_cs(red.x, red.r))
-    return s.apply(lift(red.x, red.r))
+    r = np.conj(red.r) if red.kind == COMPLEX_SYMMETRIC else red.r
+    return s.apply(lift(red.x, r))

@@ -10,8 +10,8 @@ from conftest import rel_err
 from pinv_minres.cli import EXIT_OK, main
 from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                               DenseOperator)
-from pinv_minres.minres_cs import lift_cs, solve_cs
-from pinv_minres.minres_h import SolveOptions, lift, solve, solve_skew
+from pinv_minres.minres_h import (SolveOptions, lift, lift_cs, solve, solve_cs,
+                                  solve_skew)
 from pinv_minres.npc_monitor import (attach, check_monotonicity,
                                      verify_identities)
 from pinv_minres.oracle import (check_rank_assumptions, hermitian_eig,

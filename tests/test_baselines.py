@@ -103,6 +103,18 @@ class TestTsvdKronecker:
             assert np.linalg.norm(rep_k.x - rep_d.x) <= \
                 1e-8 * max(np.linalg.norm(rep_d.x), 1.0)
 
+    @pytest.mark.parametrize("rank_pairs", [-1, 0, 64, 65])
+    def test_rank_pairs_checked(self, rank_pairs):
+        # an 8 x 8 Z has 64 pairs; -1 used to keep all but one, 65 to report 65
+        z = GaussianBlurToeplitz(8, 3, 1.0).z
+        bmat = np.ones((8, 8))
+        if 0 <= rank_pairs <= 64:
+            rep = tsvd_solve_kronecker(z, bmat, rank_pairs)
+            assert rep.retained_rank == rank_pairs
+        else:
+            with pytest.raises(ValueError, match="rank_pairs"):
+                tsvd_solve_kronecker(z, bmat, rank_pairs)
+
     @pytest.mark.parametrize("blur", [False, True], ids=["random", "blur"])
     def test_eigenbasis_residual_matches_dense(self, rng, blur):
         # the residual is taken in Z's eigenbasis; it must be ||Z X Z - B||_F

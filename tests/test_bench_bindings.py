@@ -40,6 +40,14 @@ def test_tracer_layers_resolve():
         assert callable(getattr(owner, attr, None)), f"{layer}: {attr}"
 
 
+def test_minres_cs_aliases_the_library_functions():
+    # the benchmark times minres_cs.solve_cs and lift_cs: they must be the
+    # library's own functions, which live in minres_h
+    from pinv_minres import minres_cs, minres_h
+    assert minres_cs.solve_cs is minres_h.solve_cs
+    assert minres_cs.lift_cs is minres_h.lift_cs
+
+
 def test_package_exports_resolve():
     for name in pinv_minres.__all__:
         assert hasattr(pinv_minres, name), name

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import rel_err
 from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
-from pinv_minres.minres_cs import lift_cs, solve_cs
-from pinv_minres.minres_h import TERM_BETA_ZERO, SolveOptions, lift
+from pinv_minres.minres_h import (TERM_BETA_ZERO, SolveOptions, lift, lift_cs,
+                                  solve_cs)
 from pinv_minres.oracle import pinv
+from pinv_minres.pminres import Preconditioner, psolve_cs, subsolve
 from pinv_minres.synthetic import rand_complex_symmetric, rand_matrix, rng_for
 
 RANK1 = np.array([[1.0, 1j], [1j, -1.0]])   # z z^T with z = [1, i]
@@ -179,16 +180,40 @@ def _saunders_iterates(a, b, steps):
     return xs
 
 
-@pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
-@pytest.mark.parametrize("seed", range(8))
-def test_iterates_match_dense_saunders_minimiser(seed, reorth):
-    # each recorded x_t is the minimiser over conj(S_t(A, b)), t <= 10; the
-    # worst deviation measured over these 16 solves is 2.2e-14 relative
+# ids: seed-plain/reorth for solve_cs, prefixed by the path for the others
+@pytest.mark.parametrize("path, seed, reorth", [
+    pytest.param(path, seed, reorth, id="-".join(
+        ([] if path == "solve_cs" else [path])
+        + [str(seed), "reorth" if reorth else "plain"]))
+    for path in ("solve_cs", "psolve_cs", "subsolve")
+    for seed in range(8) for reorth in (False, True)])
+def test_iterates_match_dense_saunders_minimiser(path, seed, reorth):
+    # each recorded x_t is the minimiser over conj(S_t(A, b)), t <= 10, or
+    # with M = S S^H that of (S^T A S, S^T b) mapped back by S; the worst
+    # deviations measured over each path's 16 solves are 2.2e-14 (solve_cs),
+    # 1.6e-14 (psolve_cs) and 1.1e-14 (subsolve) relative
     a = rand_matrix(COMPLEX_SYMMETRIC, 30, 20, 100 + seed)
     rng = rng_for(200 + seed)
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    rep = solve_cs(DenseOperator(a, COMPLEX_SYMMETRIC), b,
-                   SolveOptions(record_trace=True, reorthogonalize=reorth))
+    op = DenseOperator(a, COMPLEX_SYMMETRIC)
+    opts = SolveOptions(record_trace=True, reorthogonalize=reorth)
+    if path == "solve_cs":
+        rep = solve_cs(op, b, opts)
+        iterates = rep.trace.iterates
+        refs = _saunders_iterates(a, b, 10)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30))
+                            + 1j * rng.standard_normal((30, 30)))
+        m = Preconditioner.from_economy(q[:, :25], rng.uniform(0.5, 2.0, 25))
+        s = m.factor
+        if path == "psolve_cs":
+            rep = psolve_cs(op, m, b, opts)
+            iterates = rep.trace.iterates
+        else:
+            rep = subsolve(op, s, b, opts)
+            iterates = [s.apply(x) for x in rep.reduced.trace.iterates]
+        sm = s.s
+        refs = [sm @ y for y in _saunders_iterates(sm.T @ a @ sm, sm.T @ b, 10)]
     assert rep.iterations > 10
-    for t, ref in enumerate(_saunders_iterates(a, b, 10), start=1):
-        assert rel_err(rep.trace.iterates[t - 1], ref) <= 1e-11, t
+    for t, ref in enumerate(refs, start=1):
+        assert rel_err(iterates[t - 1], ref) <= 1e-11, t

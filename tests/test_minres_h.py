@@ -5,10 +5,10 @@ from conftest import rel_err
 from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                               DenseOperator, DimensionMismatch,
                               KroneckerOperator)
-from pinv_minres.minres_cs import solve_cs
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
                                   TERM_MAX_ITER, TERM_NORMAL_RESIDUAL,
-                                  SolveOptions, lift, solve, solve_skew)
+                                  SolveOptions, lift, solve, solve_cs,
+                                  solve_skew)
 from pinv_minres.oracle import pinv
 from pinv_minres.pminres import (Preconditioner, plift, psolve_cs, psolve_h,
                                  sublift, subsolve)
@@ -59,6 +59,15 @@ class TestSolve:
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             solve(DenseOperator(np.eye(3), HERMITIAN), np.ones(2))
+
+    @pytest.mark.parametrize("entry, kind", [
+        (solve, HERMITIAN), (solve_skew, SKEW_HERMITIAN),
+        (solve_cs, COMPLEX_SYMMETRIC)], ids=["solve", "solve_skew", "solve_cs"])
+    def test_max_iterations_checked_before_first_step(self, entry, kind):
+        # b = 0 stops before the first step; the option is checked all the same
+        a = DenseOperator(1j * np.eye(3) if kind == SKEW_HERMITIAN else np.eye(3), kind)
+        with pytest.raises(ValueError, match="max_iterations"):
+            entry(a, np.zeros(3), SolveOptions(max_iterations=0))
 
     def test_max_iter_termination(self):
         a = rand_hermitian(20, 20, seed=102)

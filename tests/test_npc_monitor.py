@@ -6,8 +6,7 @@ import pytest
 from pinv_minres.cli import EXIT_OK, main
 from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, CallableOperator,
                               DenseOperator)
-from pinv_minres.minres_h import SolveOptions
-from pinv_minres.minres_cs import solve_cs
+from pinv_minres.minres_h import SolveOptions, solve_cs
 from pinv_minres.npc_monitor import (attach, check_monotonicity,
                                      verify_identities)
 from pinv_minres.pminres import Preconditioner, psolve_cs, psolve_h, subsolve
@@ -273,15 +272,29 @@ class TestVerifyIdentities:
             assert verify_identities(monot, rep, op, m, b) == []
             assert check_monotonicity(monot) == []
 
-    def test_monotonicity_violation_detected_on_corrupted_values(self):
+    # check name -> (preconditioner, trace field, corrupted value at t = 6
+    # from the field's values); M4 never detects, M3 detects at t = 6
+    CORRUPTIONS = {
+        "m_decreasing": ("M4", "m_values", lambda v: v[4] + 1.0),
+        "xb_increasing": ("M4", "xb_values", lambda v: v[4] - 1.0),
+        "x_mdag_increasing": ("M4", "x_mdag_norms", lambda v: v[4] / 2),
+        "lambda_min_positive_pre_npc": ("M4", "lambda_mins", lambda v: -1.0),
+        "lambda_min_nonpositive_at_npc": ("M3", "lambda_mins", lambda v: 1.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CORRUPTIONS))
+    def test_monotonicity_violation_detected_on_corrupted_values(self, name):
+        key, field, corrupt = self.CORRUPTIONS[name]
         a, u_plus, u_minus = make_npc_matrix(seed=10)
         suite = make_npc_suite(a, u_plus, u_minus, seed=11)
-        op, rep, cert, monot = run_monitored(a, suite["M4"],
+        op, rep, cert, monot = run_monitored(a, suite[key],
                                              np.ones(20, dtype=complex))
+        assert check_monotonicity(monot) == []
         broken = copy.deepcopy(monot)
-        broken.m_values[5] = broken.m_values[4] + 1.0
-        assert any(v.name == "m_decreasing"
-                   for v in check_monotonicity(broken))
+        values = getattr(broken, field)
+        values[5] = corrupt(values)
+        assert [(v.name, v.iteration)
+                for v in check_monotonicity(broken)] == [(name, 6)]
 
 
 class TestIdentityRoundoffFloor:

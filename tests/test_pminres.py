@@ -6,10 +6,9 @@ import pytest
 from conftest import rel_err, singular_preconditioned
 from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator,
                               NonFiniteOperatorOutput)
-from pinv_minres.minres_cs import solve_cs
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
                                   TERM_NULL_PRECONDITIONED_RHS, SolveOptions,
-                                  SolveReport, solve)
+                                  SolveReport, solve, solve_cs)
 from pinv_minres.oracle import hermitian_eig, lifted_problem_pinv, pinv, takagi
 from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
                                  NotPositiveSemidefinite, Preconditioner,
@@ -95,6 +94,17 @@ class TestPsolveH:
         assert rep.termination == TERM_NULL_PRECONDITIONED_RHS
         assert np.all(rep.x == 0)
         assert rep.preconditioned and rep.beta1 == 0.0 and rep.grade is None
+
+    @pytest.mark.parametrize("entry", [psolve_h, psolve_cs, subsolve],
+                             ids=["psolve_h", "psolve_cs", "subsolve"])
+    def test_max_iterations_checked_before_first_step(self, entry):
+        # b lies in null(M) and S^H b = 0, so each solve stops before its
+        # first step; the option is checked all the same
+        m = Preconditioner.from_economy(np.array([[1.0], [0.0]]), [1.0])
+        kind = COMPLEX_SYMMETRIC if entry is psolve_cs else HERMITIAN
+        with pytest.raises(ValueError, match="max_iterations"):
+            entry(DenseOperator(np.eye(2), kind), m.factor if entry is subsolve else m,
+                  [0.0, 1.0], SolveOptions(max_iterations=0))
 
     def test_indefinite_preconditioner_rejected(self):
         a = DenseOperator(np.eye(3), HERMITIAN)
