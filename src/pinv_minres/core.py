@@ -168,6 +168,15 @@ class LinearOperator:
         raise NotImplementedError
 
     def apply(self, v) -> np.ndarray:
+        """A @ v, in v's dtype (float64 only on a ``real`` operator).
+
+        Raises ``DimensionMismatch`` on a product of the wrong shape and
+        ``NonFiniteOperatorOutput`` on one holding NaN or Inf.  The check is
+        exact and costs one dot on a finite product: the sum of squares of
+        its float64 view is finite, and only when it is not (NaN/Inf, or
+        finite entries whose squares overflow) are the entries tested one
+        by one.  ``np.vdot`` raises no overflow warning where ``.dot`` would.
+        """
         v = as_vector(v, self.dim, self.real)
         out = np.asarray(self._apply(v), dtype=v.dtype)
         if np.may_share_memory(out, v):
@@ -175,7 +184,8 @@ class LinearOperator:
         if out.shape != (self.dim,):
             raise DimensionMismatch(
                 f"operator returned shape {out.shape}, expected ({self.dim},)")
-        if not np.isfinite(out.view(np.float64)).all():
+        flat = out.view(np.float64)
+        if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(flat).all():
             raise NonFiniteOperatorOutput("operator output contains NaN/Inf")
         return out
 

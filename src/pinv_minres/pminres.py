@@ -7,10 +7,12 @@ and ``r_breve`` agrees with b - A x_t on range(M); together they allow the
 lifting correction without extra operator products.  The reduced solve
 (``subsolve``) runs plain MINRES on S^H A S for any factor M = S S^H and is
 analytically equivalent, iterate by iterate.  ``SubOperator.reduce`` builds
-that operator, of A's kind: over a Kronecker A = Z (x) Z with a
-``KroneckerSubOperator`` S = C (x) C it is formed once as (C^T Z C) (x)
-(C^T Z C), so the reduced iterations make no full-size products; other
-factors compose S^H, A and S on every iteration.
+that operator, of A's kind, and forms it once where the structure allows:
+over a Kronecker A = Z (x) Z with a ``KroneckerSubOperator`` S = C (x) C as
+(C^T Z C) (x) (C^T Z C), and over a ``DenseOperator`` A with a
+``DenseSubOperator`` S as the m x m matrix S^H A S, so the reduced
+iterations make no full-size products.  Other operators and factors
+compose S^H, A and S on every iteration.
 
 ``psolve_h``, ``psolve_cs`` and ``subsolve`` run the recurrence engine of
 ``minres_h``, where ``ReorthBuffer`` and ``NotPositiveSemidefinite`` live.
@@ -21,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (COMPLEX_SYMMETRIC, HERMITIAN, CallableOperator,
-                   KroneckerOperator, LinearOperator, as_vector, kron_apply,
-                   norm, working_vector)
+                   DenseOperator, KroneckerOperator, LinearOperator,
+                   as_vector, kron_apply, norm, working_vector)
 from .minres_h import (NotPositiveSemidefinite, ReorthBuffer, SolveOptions,
                        SolveReport, _minres, lift)
 
@@ -108,7 +110,9 @@ class SubOperator:
     def reduce(self, a: LinearOperator) -> LinearOperator:
         """The reduced operator on C^m for an operator ``a`` on C^d, of a's
         kind: S^T A S for a complex-symmetric A, S^H A S otherwise.  Here it
-        is the composition of three products, made on every application."""
+        is the composition of three products, made on every application;
+        ``DenseSubOperator`` and ``KroneckerSubOperator`` form it once over
+        the operator class they can multiply out."""
         cs = a.kind == COMPLEX_SYMMETRIC
         restrict = self.apply_transpose if cs else self.apply_adjoint
         return CallableOperator(self.m, a.kind,
@@ -130,6 +134,18 @@ class DenseSubOperator(SubOperator):
     def apply_adjoint(self, v):
         """S^H v as conj(conj(v) S): no d x m conjugate copy of S per call."""
         return np.conj(np.conj(as_vector(v, self.d)) @ self.s)
+
+    def reduce(self, a):
+        """Over a ``DenseOperator`` A, the m x m matrix S^H A S (S^T A S for
+        a complex-symmetric A) as a ``DenseOperator`` of A's kind, formed
+        once: each reduced iteration then makes one m x m product in place
+        of S, A and S^H.  Forming it costs about 2 d m (d + m) flops, the
+        work of about m composed iterations.  It is not symmetrised, so an
+        identity S gives A exactly.  Other operators compose."""
+        if isinstance(a, DenseOperator):
+            left = self.s.T if a.kind == COMPLEX_SYMMETRIC else self.s.conj().T
+            return DenseOperator(left @ (a.a @ self.s), a.kind)
+        return super().reduce(a)
 
 
 class KroneckerSubOperator(SubOperator):
@@ -225,9 +241,11 @@ def subsolve(a: LinearOperator, s: SubOperator, b,
 
     ``s.reduce`` builds the reduced operator: over a ``KroneckerOperator``
     A = Z (x) Z with a ``KroneckerSubOperator`` S = C (x) C it is formed
-    once as (C^T Z C) (x) (C^T Z C), so the only full-space product of A
-    is the final true residual; other factors compose the reduced
-    operator on every iteration.
+    once as (C^T Z C) (x) (C^T Z C), and over a ``DenseOperator`` A with a
+    ``DenseSubOperator`` S once as the m x m matrix S^H A S (S^T A S), so
+    the only full-space product of A is the final true residual; other
+    operators and factors compose the reduced operator on every
+    iteration.
 
     The returned report carries x = S x~, r_hat = S r~ (conj(S) r~ for a
     complex-symmetric A) and the true residual b - A x as both ``r`` and

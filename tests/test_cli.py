@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -160,6 +161,31 @@ class TestPreconSweep:
         assert run_cli("precon-sweep", "--d", "6", "--rank", "6",
                        "--kind", "hermitian", "--assert") == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
+
+    # one case per gate: the row field a broken solver would spoil, its
+    # spoiled value, and the failure line that must then be the only kind
+    @pytest.mark.parametrize("field,value,message", [
+        ("norm_m_r", 1.0, ": ||M r|| = 1.000e+00"),
+        ("e_p", 1.0, ": E_P = 1.000e+00"),
+        ("norm_am_r", 1.0, ": ||A M r|| = 1.000e+00"),
+        ("e_x", 1.0, "/range_preserved: E_x at i=r not ~0"),
+        ("e_x", 0.0, "/non_range_preserved: E_x <= 1e-3 at some rank"),
+    ], ids=["M_r", "E_P", "AM_r", "E_x_at_r", "E_x_small"])
+    def test_each_gate_fires(self, capsys, monkeypatch, field, value, message):
+        from pinv_minres import cli
+        sweep = cli.run_error_sweep
+
+        def spoiled(*args):
+            return [dataclasses.replace(row, **{field: value})
+                    for row in sweep(*args)]
+
+        monkeypatch.setattr(cli, "run_error_sweep", spoiled)
+        assert run_cli("precon-sweep", "--d", "6", "--rank", "4",
+                       "--assert") == EXIT_PROPERTY
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed
+        assert all(line.endswith(message) for line in failed), failed
 
 
 class TestNpc:

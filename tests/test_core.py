@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,56 @@ class TestApply:
         op = CallableOperator(2, HERMITIAN, lambda v: v * np.nan)
         with pytest.raises(NonFiniteOperatorOutput):
             op.apply(np.ones(2))
+
+
+def _with_entry(value, part):
+    """A length-9 product holding ``value`` at index 4, in its real or its
+    imaginary part, from each operator class: a complex ``DenseOperator``,
+    a ``KroneckerOperator`` (a float64 product for the real part), and a
+    ``CallableOperator``.  Yields (operator, input)."""
+    place = value if part == "real" else complex(0.0, value)
+    a = np.eye(9, dtype=complex)
+    a[4, 6] = place
+    yield DenseOperator(a, HERMITIAN), np.eye(9)[6]
+    v = np.ones(9) if part == "real" else np.ones(9, dtype=complex)
+    v[4] = place
+    yield KroneckerOperator(np.eye(3)), v
+    out = np.ones(9, dtype=complex)
+    out[4] = place
+    yield CallableOperator(9, HERMITIAN, lambda _: out), np.ones(9)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_nonfinite_entry_raises(self, value, part):
+        for op, v in _with_entry(value, part):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NonFiniteOperatorOutput):
+                op.apply(v)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_entries_whose_squares_overflow_are_returned(self, part):
+        # 1e200 squared overflows the one-dot sum; the product is finite
+        for op, v in _with_entry(1e200, part):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = op.apply(v)
+            assert np.isfinite(out).all()
+            assert out[4] == (1e200 if part == "real" else 1e200j)
+
+    def test_product_is_returned_unchanged(self, rng):
+        z = rng.standard_normal((5, 5))
+        a = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+        for op in (DenseOperator(a, HERMITIAN), KroneckerOperator(z + z.T),
+                   CallableOperator(25, HERMITIAN, lambda v: 2.0 * v[::-1])):
+            for v in (rng.standard_normal(25),
+                      rng.standard_normal(25) + 1j * rng.standard_normal(25)):
+                v = as_vector(v, 25, op.real)
+                out = op.apply(v)
+                assert out.dtype == v.dtype
+                assert np.array_equal(out, op._apply(v))
 
 
 class TestGaussianBlur:

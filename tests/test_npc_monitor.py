@@ -296,6 +296,34 @@ class TestVerifyIdentities:
         assert [(v.name, v.iteration)
                 for v in check_monotonicity(broken)] == [(name, 6)]
 
+    # the same checks with a violation of 1e-6 of the field's largest
+    # magnitude: far above STRICT_TOL (1e-10), far below order one
+    SMALL_CORRUPTIONS = {
+        "m_decreasing": ("M4", "m_values",
+                         lambda v: v[4] + 1e-6 * max(map(abs, v))),
+        "xb_increasing": ("M4", "xb_values",
+                          lambda v: v[4] - 1e-6 * max(map(abs, v))),
+        "x_mdag_increasing": ("M4", "x_mdag_norms",
+                              lambda v: v[4] - 1e-6 * max(v)),
+        "lambda_min_positive_pre_npc": ("M4", "lambda_mins",
+                                        lambda v: -1e-6 * max(map(abs, v))),
+        "lambda_min_nonpositive_at_npc": ("M3", "lambda_mins",
+                                          lambda v: 1e-6 * max(map(abs, v))),
+    }
+
+    @pytest.mark.parametrize("name", list(SMALL_CORRUPTIONS))
+    def test_one_millionth_monotonicity_violation_detected(self, name):
+        key, field, corrupt = self.SMALL_CORRUPTIONS[name]
+        a, u_plus, u_minus = make_npc_matrix(seed=10)
+        suite = make_npc_suite(a, u_plus, u_minus, seed=11)
+        op, rep, cert, monot = run_monitored(a, suite[key],
+                                             np.ones(20, dtype=complex))
+        broken = copy.deepcopy(monot)
+        values = getattr(broken, field)
+        values[5] = corrupt(values)
+        assert [(v.name, v.iteration)
+                for v in check_monotonicity(broken)] == [(name, 6)]
+
 
 class TestIdentityRoundoffFloor:
     def test_npc_cli_run_passes(self, tmp_path):

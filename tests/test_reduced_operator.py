@@ -1,16 +1,19 @@
 """The reduced operator S^H A S of ``subsolve``: closed form over a
-Kronecker A with a Kronecker sub-factor, composition everywhere else."""
+Kronecker A with a Kronecker sub-factor and over a dense A with a dense
+factor, composition everywhere else."""
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
 from test_real_path import N, STEPS, _factor
-from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, CallableOperator,
-                              DenseOperator, KroneckerOperator)
+from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
+                              CallableOperator, DenseOperator,
+                              KroneckerOperator)
 from pinv_minres.minres_h import SolveOptions
 from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
                                  sublift, subsolve)
+from pinv_minres.synthetic import rand_matrix, rng_for
 
 
 def _sub_factor(zeros: int, aligned: bool, seed: int):
@@ -95,8 +98,8 @@ def _composed(a, s, kind):
     ("dense", "kron", HERMITIAN),
     ("dense", "kron", COMPLEX_SYMMETRIC),
     ("kron", "dense", HERMITIAN),
-    ("dense", "dense", HERMITIAN),
-    ("dense", "dense", COMPLEX_SYMMETRIC),
+    ("callable", "dense", HERMITIAN),
+    ("callable", "dense", COMPLEX_SYMMETRIC),
 ])
 def test_other_cases_compose(a_type, s_type, kind):
     z, c = _sub_factor(3, False, 6)
@@ -104,6 +107,8 @@ def test_other_cases_compose(a_type, s_type, kind):
          else DenseOperator(np.kron(z, z), kind))
     if a.kind != kind:      # the Kronecker product declared complex-symmetric
         a = CallableOperator(a.dim, kind, a.apply, real=True)
+    if a_type == "callable":
+        a = CallableOperator(a.dim, kind, a.apply)
     s = (KroneckerSubOperator(c) if s_type == "kron"
          else DenseSubOperator(np.kron(c, c)))
     red = s.reduce(a)
@@ -115,3 +120,72 @@ def test_other_cases_compose(a_type, s_type, kind):
     for v in (rng.standard_normal(s.m),
               rng.standard_normal(s.m) + 1j * rng.standard_normal(s.m)):
         assert np.array_equal(red.apply(v), ref.apply(v))
+
+
+def _dense_case(kind, d=14, m=9, seed=0):
+    """A complex A of the given kind, rank d - 3, and a complex d x m S."""
+    a = rand_matrix(kind, d, d - 3, 300 + seed)
+    rng = rng_for(310 + seed)
+    s = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    return a, s
+
+
+class _DenseSubCounter(DenseSubOperator):
+    """Counts the products by S, S^H and S^T."""
+
+    def __init__(self, s):
+        super().__init__(s)
+        self.products = 0
+
+    def apply(self, v):
+        self.products += 1
+        return super().apply(v)
+
+    def apply_adjoint(self, v):
+        self.products += 1
+        return super().apply_adjoint(v)
+
+
+KINDS = [HERMITIAN, COMPLEX_SYMMETRIC, SKEW_HERMITIAN]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_closed_form_matches_reduced_matrix(kind, seed):
+    a, s = _dense_case(kind, seed=seed)
+    red = DenseSubOperator(s).reduce(DenseOperator(a, kind))
+    assert type(red) is DenseOperator
+    assert (red.dim, red.kind, red.real) == (9, kind, False)
+    left = s.T if kind == COMPLEX_SYMMETRIC else s.conj().T
+    assert rel_err(red.a, (left @ a) @ s) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dense_closed_form_of_identity_factor_is_a(kind):
+    a, _ = _dense_case(kind)
+    red = DenseSubOperator(np.eye(14)).reduce(DenseOperator(a, kind))
+    assert np.array_equal(red.a, a)
+
+
+@pytest.mark.parametrize("max_iterations", [1, 3, None])
+@pytest.mark.parametrize("kind", [HERMITIAN, COMPLEX_SYMMETRIC])
+def test_dense_closed_form_makes_one_product_per_iteration(
+        monkeypatch, kind, max_iterations):
+    a, s = _dense_case(kind, seed=2)
+    calls = []
+    dense_apply = DenseOperator._apply
+
+    def counted(self, v):
+        calls.append(self)
+        return dense_apply(self, v)
+
+    monkeypatch.setattr(DenseOperator, "_apply", counted)
+    op, sub = DenseOperator(a, kind), _DenseSubCounter(s)
+    b = rng_for(320).standard_normal(14) + 1j * rng_for(321).standard_normal(14)
+    rep = subsolve(op, sub, b, SolveOptions(max_iterations=max_iterations))
+    assert rep.iterations >= 1
+    # A once, for the true residual; S^H b (S^T b), S r~ (conj(S) r~) and
+    # S x~ once each; the m x m reduced matrix once per iteration
+    assert calls.count(op) == 1
+    assert sub.products == 3
+    assert len(calls) == rep.iterations + 1
