@@ -147,6 +147,10 @@ def cmd_precon_sweep(args):
                     failures.append(f"{tag}: E_P = {row.e_p:.3e}")
                 if row.a_holds and row.norm_am_r > 1e-8 * amr_scale:
                     failures.append(f"{tag}: ||A M r|| = {row.norm_am_r:.3e}")
+                # a range-preserving M of rank >= r lifts to A^+ b
+                if (family_name == "range_preserved" and row.rank >= args.rank
+                        and row.e_x_hat > 1e-8):
+                    failures.append(f"{tag}: E_x_hat = {row.e_x_hat:.3e}")
             if family_name == "range_preserved":
                 at_r = [row for row in sweep if row.rank == args.rank]
                 if not at_r or at_r[0].e_x > 1e-8:

@@ -36,11 +36,12 @@ TERM_MAX_ITER = "max_iter"
 TERM_NULL_PRECONDITIONED_RHS = "b_in_null_m"
 
 
-# Zero tests: beta_{t+1} is declared zero at beta_{t+1} <= EPS_ZERO * beta_1
-# and the rotated pivot at gamma^[2] <= EPS_ZERO * (|alpha_t| + beta_t +
-# beta_{t+1}).  Both vanish exactly at the grade in exact arithmetic; their
-# roundoff floor sits around 1e-12 of the problem scale, so a threshold below
-# 1e-10 risks missing the termination and dividing by a noise-level pivot.
+# The one zero threshold: beta_{t+1} and the pivot gamma_t count as zero at
+# or below EPS_ZERO * ||T_t||, the running maximum column sum of the
+# tridiagonal T (an estimate of ||A||, as in MINRES-QLP), so no test depends
+# on the scale of b.  Both vanish exactly at the grade in exact arithmetic;
+# their roundoff floor sits around 1e-12 ||T||, so a threshold below 1e-10
+# risks missing the termination and dividing by a noise-level pivot.
 EPS_ZERO = 1e-8
 # The robust companion of the gamma test: phi_{t-1} hypot(gamma_t,
 # delta_{t+1}) estimates ||A r_{t-1}||, which vanishes exactly when the
@@ -379,18 +380,13 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 arnorm0 = arnorm_prev
             ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
 
-            col = abs(alpha) + beta + beta_next
-            # running estimate of ||T||; beta_1 is ||b||, not an entry of T
-            tnorm = max(tnorm, col if t > 1 else abs(alpha) + beta_next)
-            if (gamma2 <= EPS_ZERO * col
-                    or (beta_next <= EPS_ZERO * beta1
-                        and abs(gamma_pre) <= EPS_ZERO * tnorm)):
+            # both zero tests: zeta = EPS_ZERO ||T||; beta_1 = ||b|| is not in T
+            tnorm = max(tnorm, abs(alpha) + beta + beta_next if t > 1
+                        else abs(alpha) + beta_next)
+            zeta = EPS_ZERO * tnorm
+            if beta_next <= zeta and abs(gamma_pre) <= zeta:
                 # Krylov/Saunders space exhausted with nonzero residual: the
-                # iterate freezes one step back and the grade is t.  The joint
-                # test catches a pivot that clears the column's own scale only
-                # because the column is small: with beta_{t+1} and gamma_t both
-                # zero against ||T||, dividing by gamma^[2] would add a
-                # noise-level direction to x and the beta test would then zero r.
+                # iterate freezes one step back and the grade is t
                 termination = TERM_GAMMA_ZERO
                 if trace is not None:
                     record(0.0, 0.0, 1.0, 0.0, d1)
@@ -413,7 +409,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 e1, e2 = (v - delta2 * e1 - eps_cur * e2) / gamma2, e1
                 y = y + tau * e1
 
-            if beta_next <= EPS_ZERO * beta1:
+            if beta_next <= zeta:
                 termination = TERM_BETA_ZERO
                 rbrev = zeros.copy()
                 rhat = rbrev if m is None else zeros.copy()

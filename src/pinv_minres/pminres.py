@@ -171,8 +171,9 @@ class KroneckerSubOperator(SubOperator):
         """Over a ``KroneckerOperator`` A = Z (x) Z, which is Hermitian,
         S^H A S = (C^T Z C) (x) (C^T Z C) by the mixed-product rule: a
         Kronecker operator with an rc x rc factor, formed once and
-        symmetrised against roundoff.  Other operators, complex-declared
-        ones included, compose."""
+        symmetrised against roundoff.  Other operators compose, and so
+        does a Kronecker subclass that declares itself complex
+        (``real = False``): its reduction must stay complex too."""
         if isinstance(a, KroneckerOperator) and a.real:
             k = self.c.T @ a.z @ self.c
             return KroneckerOperator((k + k.T) / 2)

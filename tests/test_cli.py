@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pinv_minres.cli import CSV_SCHEMA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
-from pinv_minres.imaging import read_image
+from pinv_minres.imaging import ImagePlane, read_image, write_image
 
 
 def run_cli(*argv):
@@ -46,6 +46,24 @@ class TestSynthetic:
                        "--csv", str(tmp_path / "x.csv"))
         assert code == EXIT_PROPERTY
 
+    def test_plain_error_gate_fires(self, capsys, monkeypatch):
+        # on a singular A the plain final iterate misses A^+ b; a solver
+        # whose last iterate is already lifted must fail that check alone
+        from pinv_minres import cli
+        from pinv_minres.minres_h import lift
+        real_solve = cli.solve
+
+        def lifted_solve(*args):
+            rep = real_solve(*args)
+            rep.trace.iterates[-1] = lift(rep.x, rep.r)
+            return rep
+
+        monkeypatch.setattr(cli, "solve", lifted_solve)
+        assert run_cli("synthetic", "--assert") == EXIT_PROPERTY
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].endswith("not > 1e-2"), failed
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_one(self, capsys):
@@ -74,6 +92,25 @@ class TestUsageErrors:
     def test_out_of_range_count_exits_one(self, tmp_path, argv):
         csv = tmp_path / "x.csv"
         assert run_cli(*argv, "--csv", str(csv)) == EXIT_USAGE
+        assert not csv.exists()
+
+    # one case per range check; {tiny} is a 4 x 4 image, below SSIM's window
+    @pytest.mark.parametrize("argv, message", [
+        (("synthetic", "--d", "0"), "--d must be in 1..512"),
+        (("synthetic", "--d", "5", "--rank", "6"), "--rank must be in 1..d"),
+        (("npc", "--r-plus", "0"), "--r-plus must be in 1..rank-1"),
+        (("equiv", "--rank-m", "0"), "--rank-m must be in 1..d"),
+        (("deblur", "--image", "{tiny}"), "the image size must be at least"),
+        (("deblur", "--n", "16", "--bandwidth", "33"), "bandwidth too large"),
+    ], ids=["d", "rank", "r_plus", "rank_m", "image_size", "bandwidth"])
+    def test_out_of_range_dimension_exits_one(self, tmp_path, capsys, argv,
+                                              message):
+        tiny = tmp_path / "tiny.pgm"
+        write_image(ImagePlane(np.zeros((4, 4))), tiny)
+        csv = tmp_path / "x.csv"
+        argv = [arg.format(tiny=tiny) for arg in argv]
+        assert run_cli(*argv, "--csv", str(csv)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not csv.exists()
 
 
@@ -170,7 +207,8 @@ class TestPreconSweep:
         ("norm_am_r", 1.0, ": ||A M r|| = 1.000e+00"),
         ("e_x", 1.0, "/range_preserved: E_x at i=r not ~0"),
         ("e_x", 0.0, "/non_range_preserved: E_x <= 1e-3 at some rank"),
-    ], ids=["M_r", "E_P", "AM_r", "E_x_at_r", "E_x_small"])
+        ("e_x_hat", 1.0, ": E_x_hat = 1.000e+00"),
+    ], ids=["M_r", "E_P", "AM_r", "E_x_at_r", "E_x_small", "E_x_hat"])
     def test_each_gate_fires(self, capsys, monkeypatch, field, value, message):
         from pinv_minres import cli
         sweep = cli.run_error_sweep
@@ -187,6 +225,18 @@ class TestPreconSweep:
         assert failed
         assert all(line.endswith(message) for line in failed), failed
 
+    def test_unlifted_iterate_fails(self, capsys, monkeypatch):
+        # a plift that returns the plain iterate misses A^+ b at every
+        # range-preserving rank >= r (E_x up to 12 there)
+        from pinv_minres import precon_factory
+        monkeypatch.setattr(precon_factory, "plift", lambda rep: rep.x.copy())
+        assert run_cli("precon-sweep", "--assert") == EXIT_PROPERTY
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed
+        assert all("/range_preserved/" in line and ": E_x_hat = " in line
+                   for line in failed), failed
+
 
 class TestNpc:
     def test_assert_mode(self, tmp_path):
@@ -196,6 +246,35 @@ class TestNpc:
         assert lines[2].startswith("preconditioner,t,lambda_min_T")
         names = {line.split(",")[0] for line in lines[3:]}
         assert names == {"M1", "M2", "M3", "M4"}
+
+    def test_early_npc_on_m4_fails(self, capsys, monkeypatch):
+        # M4 has no negative curvature to find before termination
+        from pinv_minres import cli
+        real_attach = cli.attach
+
+        def early(*args):
+            cert, monot = real_attach(*args)
+            return dataclasses.replace(cert, iteration=1), monot
+
+        monkeypatch.setattr(cli, "attach", early)
+        assert run_cli("npc", "--assert") == EXIT_PROPERTY
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL")] == [
+            "FAIL M4: NPC before the final iteration (t=1)"]
+
+    @pytest.mark.parametrize("check, label", [
+        ("check_monotonicity", "monotonicity"),
+        ("verify_identities", "identity")])
+    def test_violation_gates_fire(self, capsys, monkeypatch, check, label):
+        from pinv_minres import cli
+        from pinv_minres.npc_monitor import IdentityViolation
+        monkeypatch.setattr(cli, check, lambda *args: [
+            IdentityViolation(iteration=3, name="spoiled", magnitude=1.0)])
+        assert run_cli("npc", "--assert") == EXIT_PROPERTY
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL")] == [
+            f"FAIL {name}: {label} spoiled at t=3 (magnitude 1.000e+00)"
+            for name in ("M1", "M2", "M3", "M4")]
 
 
 class TestEquiv:

@@ -7,13 +7,13 @@ from pinv_minres.core import (COMPLEX_SYMMETRIC, HERMITIAN, SKEW_HERMITIAN,
                               KroneckerOperator)
 from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
                                   TERM_MAX_ITER, TERM_NORMAL_RESIDUAL,
-                                  SolveOptions, lift, solve, solve_cs,
-                                  solve_skew)
+                                  SolveOptions, lift, lift_cs, solve,
+                                  solve_cs, solve_skew)
 from pinv_minres.oracle import pinv
 from pinv_minres.pminres import (Preconditioner, plift, psolve_cs, psolve_h,
                                  sublift, subsolve)
 from pinv_minres.synthetic import (rand_hermitian, rand_matrix,
-                                   rand_skew_hermitian, rng_for)
+                                   rand_skew_hermitian, rand_unitary, rng_for)
 from reference import verify_moore_penrose
 
 EPS = np.finfo(np.float64).eps
@@ -373,11 +373,10 @@ class TestBetaZeroIsTrue:
                             <= 1e-6 * np.linalg.norm(rhs)), k
         assert stops > 0
 
-    # The joint test measures |gamma_t| against ||T||, which scales with A;
-    # beta_1 = ||b|| is not an entry of T.  Counting it in made the test
-    # fire on these consistent systems once ||A|| << ||b||, freezing x one
-    # step short of A^+ b.  (The beta test itself is still relative to
-    # beta_1: ROADMAP item 1.)
+    # Both zero tests measure against EPS_ZERO ||T||, which scales with A;
+    # beta_1 = ||b|| is not an entry of T.  Counting it in made the gamma
+    # test fire on these consistent systems once ||A|| << ||b||, freezing x
+    # one step short of A^+ b.
     @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
     def test_joint_test_is_relative_to_a(self, scale):
         a = scale * np.diag([1.0, 1e-5])
@@ -400,3 +399,44 @@ class TestBetaZeroIsTrue:
         assert rep.termination == TERM_BETA_ZERO
         assert rep.iterations == r
         assert rel_err(rep.x, (u / ev) @ (u.conj().T @ b)) <= 1e-9
+
+
+def _graded_system(kind, kappa, seed):
+    """Rank-30 A on C^40 with a logspace spectrum of condition kappa (random
+    signs for the Hermitian and skew kinds, Takagi values for the
+    complex-symmetric one) and a generic complex b."""
+    rng = rng_for(seed)
+    q = rand_unitary(40, rng)[:, :30]
+    ev = np.logspace(0, -np.log10(kappa), 30)
+    if kind != COMPLEX_SYMMETRIC:
+        ev = ev * rng.choice([-1.0, 1.0], 30)
+    if kind == SKEW_HERMITIAN:
+        ev = 1j * ev
+    a = (q * ev) @ (q.T if kind == COMPLEX_SYMMETRIC else q.conj().T)
+    return a, rng.standard_normal(40) + 1j * rng.standard_normal(40)
+
+
+_SOLVERS = {HERMITIAN: (solve, lift), SKEW_HERMITIAN: (solve_skew, lift),
+            COMPLEX_SYMMETRIC: (solve_cs, lift_cs)}
+
+
+@pytest.mark.parametrize("kind, seeds", [(HERMITIAN, range(0, 4)),
+                                         (SKEW_HERMITIAN, range(4, 8)),
+                                         (COMPLEX_SYMMETRIC, range(8, 12))],
+                         ids=[HERMITIAN, SKEW_HERMITIAN, COMPLEX_SYMMETRIC])
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+def test_zero_tests_are_scale_free(kind, seeds, kappa):
+    # With beta_{t+1} measured against beta_1 = ||b||, scaling A by 1e-4
+    # turned these gamma stops into false beta_zero stops with lifted
+    # errors near 1; against EPS_ZERO ||T|| each system stops the same way
+    # at every scale and the lift recovers A^+ b.
+    solver, lifter = _SOLVERS[kind]
+    for seed in seeds:
+        a, b = _graded_system(kind, kappa, seed)
+        stops = set()
+        for scale in (1.0, 1e-4, 1e4):
+            rep = solver(DenseOperator(scale * a, kind), b,
+                         SolveOptions(reorthogonalize=True))
+            stops.add((rep.termination, rep.iterations))
+            assert rel_err(lifter(rep.x, rep.r), pinv(scale * a) @ b) <= 1e-7
+        assert len(stops) == 1, stops
