@@ -37,11 +37,10 @@ TERM_NULL_PRECONDITIONED_RHS = "b_in_null_m"
 
 
 # The one zero threshold: beta_{t+1} and the pivot gamma_t count as zero at
-# or below EPS_ZERO * ||T_t||, the running maximum column sum of the
-# tridiagonal T (an estimate of ||A||, as in MINRES-QLP), so no test depends
-# on the scale of b.  Both vanish exactly at the grade in exact arithmetic;
-# their roundoff floor sits around 1e-12 ||T||, so a threshold below 1e-10
-# risks missing the termination and dividing by a noise-level pivot.
+# or below EPS_ZERO * ||T_t||, the running max column sum of the tridiagonal
+# T (an ||A|| estimate, as in MINRES-QLP); only step 1 also weighs ||b||.
+# Both vanish exactly at the grade; their roundoff floor is near 1e-12 ||T||,
+# so a threshold below 1e-10 would miss the stop and divide by noise.
 EPS_ZERO = 1e-8
 # The robust companion of the gamma test: phi_{t-1} hypot(gamma_t,
 # delta_{t+1}) estimates ||A r_{t-1}||, which vanishes exactly when the
@@ -380,11 +379,13 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 arnorm0 = arnorm_prev
             ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
 
-            # both zero tests: zeta = EPS_ZERO ||T||; beta_1 = ||b|| is not in T
+            # zeta = EPS_ZERO ||T|| (beta_1 is not in T); T_1 = A v_1 is rounding
+            # noise when b is in null(A), so the step-1 pivot also weighs beta_1
             tnorm = max(tnorm, abs(alpha) + beta + beta_next if t > 1
                         else abs(alpha) + beta_next)
             zeta = EPS_ZERO * tnorm
-            if beta_next <= zeta and abs(gamma_pre) <= zeta:
+            if ((beta_next <= zeta and abs(gamma_pre) <= zeta) or (
+                    t == 1 and gamma2 <= EPS_ZERO * (abs(alpha) + beta + beta_next))):
                 # Krylov/Saunders space exhausted with nonzero residual: the
                 # iterate freezes one step back and the grade is t
                 termination = TERM_GAMMA_ZERO

@@ -373,10 +373,8 @@ class TestBetaZeroIsTrue:
                             <= 1e-6 * np.linalg.norm(rhs)), k
         assert stops > 0
 
-    # Both zero tests measure against EPS_ZERO ||T||, which scales with A;
-    # beta_1 = ||b|| is not an entry of T.  Counting it in made the gamma
-    # test fire on these consistent systems once ||A|| << ||b||, freezing x
-    # one step short of A^+ b.
+    # a consistent system stops beta_zero at A^+ b whether ||A|| is far
+    # below, at or far above ||b||
     @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
     def test_joint_test_is_relative_to_a(self, scale):
         a = scale * np.diag([1.0, 1e-5])
@@ -426,10 +424,8 @@ _SOLVERS = {HERMITIAN: (solve, lift), SKEW_HERMITIAN: (solve_skew, lift),
                          ids=[HERMITIAN, SKEW_HERMITIAN, COMPLEX_SYMMETRIC])
 @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
 def test_zero_tests_are_scale_free(kind, seeds, kappa):
-    # With beta_{t+1} measured against beta_1 = ||b||, scaling A by 1e-4
-    # turned these gamma stops into false beta_zero stops with lifted
-    # errors near 1; against EPS_ZERO ||T|| each system stops the same way
-    # at every scale and the lift recovers A^+ b.
+    # each system stops the same way at every scale of A and the lift
+    # recovers A^+ b
     solver, lifter = _SOLVERS[kind]
     for seed in seeds:
         a, b = _graded_system(kind, kappa, seed)
@@ -440,3 +436,32 @@ def test_zero_tests_are_scale_free(kind, seeds, kappa):
             stops.add((rep.termination, rep.iterations))
             assert rel_err(lifter(rep.x, rep.r), pinv(scale * a) @ b) <= 1e-7
         assert len(stops) == 1, stops
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
+@pytest.mark.parametrize("entry", ["solve", "solve_skew", "solve_cs",
+                                   "psolve_h", "psolve_cs"])
+def test_rhs_in_null_space_stops_at_step_one(entry, scale):
+    # M b (b when plain) is a unit null vector of A, so A^+ b = 0 and
+    # T_1 = A v_1 is rounding noise: the solve stops gamma_zero at t = 1
+    # with x = 0
+    kind = {"solve_skew": SKEW_HERMITIAN, "solve_cs": COMPLEX_SYMMETRIC,
+            "psolve_cs": COMPLEX_SYMMETRIC}.get(entry, HERMITIAN)
+    a = rand_matrix(kind, 20, 15, seed=7)
+    n = np.linalg.svd(a)[0][:, -1]          # A^H n = 0
+    op = DenseOperator(scale * a, kind)
+    if entry.startswith("psolve"):
+        rng = rng_for(8)
+        q = rand_unitary(20, rng)
+        sigma = rng.uniform(0.5, 2.0, 20)
+        m = Preconditioner.from_economy(q, sigma)
+        minv = (q / sigma) @ q.conj().T
+        # M b in null(A): n itself for Hermitian A, conj(n) for symmetric A,
+        # where the Saunders process applies M to conj(b)
+        b = minv @ n if kind == HERMITIAN else np.conj(minv @ np.conj(n))
+        rep = (psolve_h if kind == HERMITIAN else psolve_cs)(op, m, b)
+    else:
+        rep = {"solve": solve, "solve_skew": solve_skew,
+               "solve_cs": solve_cs}[entry](op, n)
+    assert (rep.termination, rep.iterations) == (TERM_GAMMA_ZERO, 1)
+    assert not np.any(rep.x)
