@@ -42,8 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PROPERTY = 2
 
-KIND_ALIASES = {"hermitian": HERMITIAN, "cs": COMPLEX_SYMMETRIC,
-                "complex_symmetric": COMPLEX_SYMMETRIC}
+KIND_ALIASES = {"hermitian": HERMITIAN, "cs": COMPLEX_SYMMETRIC}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,7 +234,8 @@ def cmd_equiv(args):
         m = Preconditioner.from_economy(p, sigma)
         b = rng.standard_normal(args.d) + 1j * rng.standard_normal(args.d)
 
-        opts = SolveOptions(max_iterations=4 * args.d, record_trace=True)
+        opts = SolveOptions(max_iterations=4 * args.d, record_trace=True,
+                            reorthogonalize=True)
         psolver = psolve_cs if kind == COMPLEX_SYMMETRIC else psolve_h
         rep = psolver(op, m, b, opts)
         # economy factor and the square PSD root of the same M

@@ -2,17 +2,18 @@
 
 Library routines work on 1-D ``numpy.complex128`` arrays; real inputs are
 promoted with zero imaginary parts.  The exception is real data on an
-operator whose class sets ``real = True`` (``KroneckerOperator``,
-``GaussianBlurToeplitz``): its products keep a float64 input in float64,
-and ``working_vector`` is the one place that picks a solve's dtype: plain
-Hermitian solves, LSQR and Hermitian ``subsolve`` on such an operator run
-in float64 when b has no imaginary part, and report float64 vectors.
+operator whose class sets ``real = True`` (``KroneckerOperator``): its
+products keep a float64 input in float64, and ``working_vector`` is the
+one place that picks a solve's dtype: plain Hermitian solves, LSQR and
+Hermitian ``subsolve`` on such an operator run in float64 when b has no
+imaginary part, and report float64 vectors.
 Operators are immutable after construction and may be applied concurrently
 from several solves.
 
 A Kronecker product ``F X F^T`` by a factor with a zero band (the Gaussian
-blur's banded Toeplitz Z, the SSIM window's correlation matrix) skips the
-band's zeros: the structure is read from the factor's zeros, with no option,
+blur's banded Toeplitz Z, which ``GaussianBlurToeplitz`` builds and holds
+as ``.z`` only, or the SSIM window's correlation matrix) skips the band's
+zeros: the structure is read from the factor's zeros, with no option,
 and the work stays in BLAS as one GEMM per 32-row tile (``band_tiles``).
 """
 
@@ -258,21 +259,19 @@ class KroneckerOperator(LinearOperator):
         return kron_apply(self.z, v, self._tiles)
 
 
-class GaussianBlurToeplitz(LinearOperator):
-    """Banded symmetric Toeplitz matrix with Gaussian kernel entries.
+class GaussianBlurToeplitz:
+    """The blur factor ``z``: a banded symmetric Toeplitz matrix with
+    Gaussian kernel entries, the Z of the deblur operator Z (x) Z.
 
     Entries are z_jk = exp(-(j-k)^2 / (2 sigma^2)) for |j-k| <= (w-1)/2 and
     zero outside the band.  The matrix is not row-normalized.
     """
-
-    real = True
 
     def __init__(self, n: int, bandwidth: int, sigma: float):
         if bandwidth < 1 or bandwidth % 2 == 0:
             raise ValueError("bandwidth must be a positive odd integer")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        super().__init__(n, HERMITIAN)
         self.n = n
         self.bandwidth = bandwidth
         self.sigma = float(sigma)
@@ -283,9 +282,6 @@ class GaussianBlurToeplitz(LinearOperator):
         z = np.zeros((n, n))
         z[band] = np.exp(-(diff[band] ** 2) / (2.0 * sigma * sigma))
         self.z = z
-
-    def _apply(self, v):
-        return self.z @ v
 
 
 def probe_symmetry(op: LinearOperator) -> bool:

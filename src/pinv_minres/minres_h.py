@@ -63,25 +63,21 @@ class SolveOptions:
 
 @dataclass
 class Trace:
-    """Per-iteration quantities of a recorded solve (index 0 is t = 1)."""
+    """Per-iteration quantities of a recorded solve (index 0 is t = 1): one
+    list per engine quantity, under the same name on every run."""
 
     iterates: list = field(default_factory=list)       # x_t
-    residuals: list = field(default_factory=list)      # r_t (plain runs only)
+    residuals: list = field(default_factory=list)      # r_breve_t (r_t when plain)
     phis: list = field(default_factory=list)           # phi_t = ||r_t||
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)          # beta_{t+1}
     gammas_pre: list = field(default_factory=list)     # gamma_t before rotation
-    gammas2: list = field(default_factory=list)        # gamma_t^[2]
     cs: list = field(default_factory=list)
-    ss: list = field(default_factory=list)
     taus: list = field(default_factory=list)
     basis: list = field(default_factory=list)          # v_t (Lanczos/Saunders)
     directions: list = field(default_factory=list)     # d_t
-    # preconditioned extras
-    ws: list = field(default_factory=list)             # w_t
-    rhats: list = field(default_factory=list)          # r_hat_t
-    rbreves: list = field(default_factory=list)        # r_breve_t
-    x_mdag_sq: list = field(default_factory=list)      # ||x_t||^2_{M^+}, Hermitian
+    rhats: list = field(default_factory=list)          # r_hat_t, preconditioned
+    x_mdag_sq: list = field(default_factory=list)      # ||x_t||^2_{M^+}, psolve_h
 
 
 @dataclass
@@ -328,24 +324,19 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
         carry_y = trace is not None and m is not None and not cs
         y = e1 = e2 = zeros
 
-        def record(gamma2, c, s, tau, dvec):
+        def record(c, tau, dvec):
             trace.iterates.append(x.copy())
-            if m is None:
-                trace.residuals.append(rbrev.copy())
-                trace.basis.append(v.copy())
-            else:
+            trace.residuals.append(rbrev.copy())
+            trace.basis.append(v.copy())
+            if m is not None:
                 trace.rhats.append(rhat.copy())
-                trace.rbreves.append(rbrev.copy())
-                trace.ws.append(beta * u)
-                if carry_y:
-                    trace.x_mdag_sq.append(float(np.vdot(y, x).real))
+            if carry_y:
+                trace.x_mdag_sq.append(float(np.vdot(y, x).real))
             trace.phis.append(float(phi))
             trace.alphas.append(complex(alpha))
             trace.betas.append(float(beta_next))
             trace.gammas_pre.append(complex(gamma_pre))
-            trace.gammas2.append(float(gamma2))
             trace.cs.append(complex(c))
-            trace.ss.append(float(s))
             trace.taus.append(complex(tau))
             trace.directions.append(dvec.copy())
 
@@ -390,7 +381,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 # iterate freezes one step back and the grade is t
                 termination = TERM_GAMMA_ZERO
                 if trace is not None:
-                    record(0.0, 0.0, 1.0, 0.0, d1)
+                    record(0.0, 0.0, d1)
                 break
 
             c = gamma_pre / gamma2
@@ -415,7 +406,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 rbrev = zeros.copy()
                 rhat = rbrev if m is None else zeros.copy()
                 if trace is not None:
-                    record(gamma2, c, s, tau, dvec)
+                    record(c, tau, dvec)
                 break
 
             q /= beta_next        # q is v_{t+1} from here on
@@ -427,7 +418,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 rhat *= s * s
                 rhat -= (phi * cc) * (np.conj(u_next) if cs else u_next)
             if trace is not None:
-                record(gamma2, c, s, tau, dvec)
+                record(c, tau, dvec)
             if ls_converged:
                 # the normal-equation residual has hit its target: least squares
                 # is solved to working accuracy, with no breakdown and so no

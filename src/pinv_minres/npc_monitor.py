@@ -82,7 +82,7 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     # m(x_t) = 1/2 <x_t, A x_t> - Re<b, x_t>, where <x_t, A x_t> = <x_t, b>
     # - <x_t, r_breve_t>: x_t is in range(M), r_breve_t - (b - A x_t) in null(M)
     m_values = [-0.5 * xb_t - 0.5 * float(np.vdot(x, rb).real)
-                for xb_t, x, rb in zip(xb, trace.iterates, trace.rbreves)]
+                for xb_t, x, rb in zip(xb, trace.iterates, trace.residuals)]
     monot = MonotonicityTrace(
         m_values, xb, [math.sqrt(max(v, 0.0)) for v in trace.x_mdag_sq],
         [float(np.linalg.eigvalsh(tg[:t, :t])[0]) for t in range(1, steps + 1)],
@@ -108,6 +108,21 @@ def _psolve_h_trace(report: SolveReport):
 
 def _norms(rows) -> np.ndarray:
     return np.array([norm(v) for v in rows])
+
+
+def _prefix(monot: MonotonicityTrace) -> int:
+    """p: both checks run over t = 1..p, the steps before any detection."""
+    det = monot.detected_at
+    return len(monot.m_values) if det is None else det - 1
+
+
+def _flag(found: list, bad, mags, name, first: int = 1) -> None:
+    """Collect the True entries of ``bad``, a vector over t (from ``first``)
+    or a grid over (t, k) whose column k names the pair by ``name(k)``."""
+    for pos in zip(*np.nonzero(bad)):
+        label = name(int(pos[1])) if len(pos) > 1 else name
+        found.append(IdentityViolation(int(pos[0]) + first, label,
+                                       float(mags[pos])))
 
 
 def verify_identities(monot: MonotonicityTrace, report: SolveReport,
@@ -143,7 +158,7 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     trace = _psolve_h_trace(report)
     b = as_vector(b, a.dim)
     steps = len(trace.iterates)
-    p = steps if monot.detected_at is None else monot.detected_at - 1
+    p = _prefix(monot)
     if p == 0:
         return []
 
@@ -160,23 +175,16 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     strict = t < steps
     found: list[IdentityViolation] = []
 
-    def flag(bad, mags, name):
-        """Collect the True entries of ``bad``, a vector over t or a grid
-        over (t, k) whose column k names the pair by ``name(k)``."""
-        for pos in zip(*np.nonzero(bad)):
-            label = name(int(pos[1])) if len(pos) > 1 else name
-            found.append(IdentityViolation(int(pos[0]) + 1, label,
-                                           float(mags[pos])))
-
     # <r_hat_t, A x_i> = 0 for i <= t, at [t-1, i-1]
     val = np.abs(rh.conj() @ ax.T)
     tol = (IDENTITY_RTOL * n_rh[:, None] + floor) * n_ax
-    flag(np.tril(val > tol), val, lambda k: f"rhat_A_x[i={k + 1}]")
+    _flag(found, np.tril(val > tol), val, lambda k: f"rhat_A_x[i={k + 1}]")
     # <r_hat_i, A r_hat_t> = 0 for i < t, at [t-1, i-1]
     val = np.abs(arhat[1:] @ rh.conj().T)
     tol = (IDENTITY_RTOL * n_rh * n_arh[:, None]
            + floor * (n_arh + n_arh[:, None]))
-    flag(np.tril(val > tol, -1), val, lambda k: f"rhat_A_rhat[i={k + 1}]")
+    _flag(found, np.tril(val > tol, -1), val,
+          lambda k: f"rhat_A_rhat[i={k + 1}]")
     # curvature identity at step t (r_hat_0 = w_1 = M b)
     phi_prev = np.array([report.beta1] + trace.phis[:p - 1])
     c_prev = np.concatenate(([-1.0], np.real(trace.cs[:p - 1])))
@@ -185,12 +193,12 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     tol = (IDENTITY_RTOL * (np.abs(lhs) + np.abs(rhs) + phi_prev**2)
            + 2 * floor * n_arhat[:-1])
     err = np.abs(lhs - rhs)
-    flag(err > tol, err, "curvature_identity")
+    _flag(found, err > tol, err, "curvature_identity")
     # <r_hat_t, b> = phi_t^2
     phi2 = np.array(trace.phis[:p]) ** 2
     err = np.abs(rh.conj() @ b - phi2)
-    flag(err > IDENTITY_RTOL * (phi2 + n_rh * nb) + floor * nb, err,
-         "rhat_b_phi2")
+    _flag(found, err > IDENTITY_RTOL * (phi2 + n_rh * nb) + floor * nb, err,
+          "rhat_b_phi2")
     # <tau_t d_t, r_{t-j}> > 0 for 0 <= j <= t, with r_0 = b: column k of
     # (tau D)^H [b, b - A X] is r_k, read at [t-1, j] through k = t - j
     res = np.vstack([b, b - ax])                         # r_0..r_p
@@ -201,13 +209,14 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     negative = val.real < -STRICT_TOL * scale
     bad = negative | (np.abs(val.imag) > IDENTITY_RTOL * scale)
     # the size of the test that fired: -Re for the sign, |Im| for realness
-    flag(np.tril(bad, 1) & strict[:, None],
-         np.where(negative, -val.real, np.abs(val.imag)),
-         lambda j: f"tau_d_r[j={j}]")
+    _flag(found, np.tril(bad, 1) & strict[:, None],
+          np.where(negative, -val.real, np.abs(val.imag)),
+          lambda j: f"tau_d_r[j={j}]")
     # <x_t, b> - <x_t, A x_t> > 0
     val = (x.conj() @ b).real - np.einsum("ij,ij->i", x.conj(), ax).real
     scale = _norms(x) * (nb + n_ax) + 1e-30
-    flag((val < -STRICT_TOL * scale) & strict, -val, "x_b_minus_x_A_x")
+    _flag(found, (val < -STRICT_TOL * scale) & strict, -val,
+          "x_b_minus_x_A_x")
     found.sort(key=lambda v: v.iteration)
     return found
 
@@ -215,33 +224,23 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
 def check_monotonicity(monot: MonotonicityTrace) -> list[IdentityViolation]:
     """Pre-detection monotonicity: m(x_t) strictly decreasing, <x_t, b> and
     ||x_t||_{M^+} strictly increasing, lambda_min(T_t) > 0 strictly before
-    the first detection."""
-    prefix = (len(monot.m_values) if monot.detected_at is None
-              else monot.detected_at - 1)
-    violations: list[IdentityViolation] = []
-    m_scale = max([abs(v) for v in monot.m_values[:prefix]] or [1.0]) + 1e-30
-    xb_scale = max([abs(v) for v in monot.xb_values[:prefix]] or [1.0]) + 1e-30
-    nx_scale = max(monot.x_mdag_norms[:prefix] or [1.0]) + 1e-30
-    for t in range(2, prefix + 1):
-        idx = t - 1
-        if monot.m_values[idx] - monot.m_values[idx - 1] > STRICT_TOL * m_scale:
-            violations.append(IdentityViolation(
-                t, "m_decreasing", monot.m_values[idx] - monot.m_values[idx - 1]))
-        if monot.xb_values[idx] - monot.xb_values[idx - 1] < -STRICT_TOL * xb_scale:
-            violations.append(IdentityViolation(
-                t, "xb_increasing", monot.xb_values[idx - 1] - monot.xb_values[idx]))
-        if monot.x_mdag_norms[idx] - monot.x_mdag_norms[idx - 1] < -STRICT_TOL * nx_scale:
-            violations.append(IdentityViolation(
-                t, "x_mdag_increasing",
-                monot.x_mdag_norms[idx - 1] - monot.x_mdag_norms[idx]))
-    lam_scale = max([abs(v) for v in monot.lambda_mins] or [1.0]) + 1e-30
-    for t in range(1, prefix + 1):
-        if monot.lambda_mins[t - 1] <= -STRICT_TOL * lam_scale:
-            violations.append(IdentityViolation(
-                t, "lambda_min_positive_pre_npc", -monot.lambda_mins[t - 1]))
-    if monot.detected_at is not None:
-        lam = monot.lambda_mins[monot.detected_at - 1]
-        if lam > STRICT_TOL * lam_scale:
-            violations.append(IdentityViolation(
-                monot.detected_at, "lambda_min_nonpositive_at_npc", lam))
-    return violations
+    the first detection and <= 0 at it, each to ``STRICT_TOL`` times the
+    sequence's largest magnitude (over every step for lambda_min); listed
+    in iteration order, within a step in the order above."""
+    p = _prefix(monot)
+    found: list[IdentityViolation] = []
+    # the change from step t - 1 to t (t = 2..p) against its direction
+    for name, values, sign in (("m_decreasing", monot.m_values[:p], 1.0),
+                               ("xb_increasing", monot.xb_values[:p], -1.0),
+                               ("x_mdag_increasing", monot.x_mdag_norms[:p], -1.0)):
+        excess = sign * np.diff(values)
+        scale = max([abs(v) for v in values] or [1.0]) + 1e-30
+        _flag(found, excess > STRICT_TOL * scale, excess, name, first=2)
+    lam = np.array(monot.lambda_mins)
+    tol = STRICT_TOL * (max([abs(v) for v in monot.lambda_mins] or [1.0]) + 1e-30)
+    _flag(found, lam[:p] <= -tol, -lam[:p], "lambda_min_positive_pre_npc")
+    if monot.detected_at is not None:      # the detection is step p + 1
+        _flag(found, lam[p:p + 1] > tol, lam[p:p + 1],
+              "lambda_min_nonpositive_at_npc", first=p + 1)
+    found.sort(key=lambda v: v.iteration)
+    return found

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import rel_err
 from pinv_minres.core import COMPLEX_SYMMETRIC, HERMITIAN, DenseOperator
-from pinv_minres.minres_h import (TERM_BETA_ZERO, SolveOptions, lift, lift_cs,
-                                  solve_cs)
+from pinv_minres.minres_h import (TERM_BETA_ZERO, TERM_GAMMA_ZERO,
+                                  SolveOptions, lift, lift_cs, solve_cs)
 from pinv_minres.oracle import pinv
 from pinv_minres.pminres import Preconditioner, psolve_cs, subsolve
 from pinv_minres.synthetic import rand_complex_symmetric, rand_matrix, rng_for
@@ -116,10 +116,17 @@ class TestSaundersInvariants:
     def test_rotation_magnitudes(self):
         a, b, rep = self._traced(seed=214)
         tr = rep.trace
+        phi_prev = [rep.beta1] + tr.phis[:-1]
         for t in range(len(tr.cs)):
-            if tr.gammas2[t] > 0:
-                assert abs(abs(tr.cs[t]) ** 2 + tr.ss[t] ** 2 - 1.0) <= 1e-14
-                assert tr.gammas2[t] >= 0.0
+            # as in the Hermitian test: gamma_t^[2] = hypot(|gamma_t|, beta_{t+1}),
+            # s = phi_t / phi_{t-1}, and no rotation at the frozen step
+            frozen = rep.termination == TERM_GAMMA_ZERO and t == rep.iterations - 1
+            gamma2 = 0.0 if frozen else np.hypot(abs(tr.gammas_pre[t]), tr.betas[t])
+            if gamma2 > 0:
+                s = tr.phis[t] / phi_prev[t]
+                assert abs(abs(tr.cs[t]) ** 2 + s ** 2 - 1.0) <= 1e-14
+                assert abs(tr.cs[t] * gamma2 - tr.gammas_pre[t]) <= \
+                    1e-14 * max(gamma2, 1.0)
 
     def test_conjugated_residual_direction_identity(self):
         # A conj(r_t) = phi_t (gamma_{t+1} v_{t+1} + delta_{t+2} v_{t+2})

@@ -95,12 +95,17 @@ class TestStateInvariants:
             true_r = b - a @ tr.iterates[t]
             assert abs(tr.phis[t] - np.linalg.norm(true_r)) <= \
                 1e-8 * max(np.linalg.norm(true_r), rep.beta1)
-            c, s = tr.cs[t], tr.ss[t]
-            assert abs(abs(c) ** 2 + s**2 - 1.0) <= 1e-14 or tr.gammas2[t] == 0
-            if tr.gammas2[t] > 0:
-                assert abs(tr.phis[t] - s * prev_phi) <= 1e-12 * rep.beta1
-                gref = np.hypot(abs(tr.gammas_pre[t]), tr.betas[t])
-                assert abs(tr.gammas2[t] - gref) <= 1e-14 * max(gref, 1.0)
+            # gamma_t^[2] = hypot(|gamma_t|, beta_{t+1}), c = gamma_t / gamma_t^[2]
+            # and s = beta_{t+1} / gamma_t^[2] = phi_t / phi_{t-1}; no rotation
+            # is made at the frozen gamma_zero step
+            frozen = rep.termination == TERM_GAMMA_ZERO and t == rep.iterations - 1
+            gamma2 = 0.0 if frozen else np.hypot(abs(tr.gammas_pre[t]), tr.betas[t])
+            c, s = tr.cs[t], tr.phis[t] / prev_phi
+            assert abs(abs(c) ** 2 + s**2 - 1.0) <= 1e-14 or gamma2 == 0
+            if gamma2 > 0:
+                assert abs(tr.phis[t] - tr.betas[t] / gamma2 * prev_phi) <= \
+                    1e-12 * rep.beta1
+                assert abs(c * gamma2 - tr.gammas_pre[t]) <= 1e-14 * max(gamma2, 1.0)
             # residual recurrence vector agrees with b - A x
             assert np.linalg.norm(tr.residuals[t] - true_r) <= \
                 1e-8 * rep.beta1
@@ -465,3 +470,43 @@ def test_rhs_in_null_space_stops_at_step_one(entry, scale):
                "solve_cs": solve_cs}[entry](op, n)
     assert (rep.termination, rep.iterations) == (TERM_GAMMA_ZERO, 1)
     assert not np.any(rep.x)
+
+
+TRACE_FIELDS = {"iterates", "residuals", "phis", "alphas", "betas",
+                "gammas_pre", "cs", "taus", "basis", "directions", "rhats",
+                "x_mdag_sq"}
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_skew", "solve_cs",
+                                   "psolve_h", "psolve_cs", "subsolve"])
+def test_trace_has_one_list_per_engine_quantity(entry):
+    # one entry per iteration in every list, except r_hat_t (preconditioned
+    # runs only) and ||x_t||^2_{M^+} (psolve_h runs only); the last residual
+    # is the report's r on plain runs and r_breve on preconditioned ones
+    kind = {"solve_skew": SKEW_HERMITIAN, "solve_cs": COMPLEX_SYMMETRIC,
+            "psolve_cs": COMPLEX_SYMMETRIC}.get(entry, HERMITIAN)
+    op = DenseOperator(rand_matrix(kind, 20, 15, seed=31), kind)
+    rng = rng_for(32)
+    b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    m = Preconditioner.from_economy(rand_unitary(20, rng)[:, :18],
+                                    rng.uniform(0.5, 2.0, 18))
+    opts = SolveOptions(record_trace=True, reorthogonalize=True)
+    preconditioned = entry.startswith("psolve")
+    if preconditioned:
+        psolve = psolve_h if entry == "psolve_h" else psolve_cs
+        rep = psolve(op, m, b, opts)
+    elif entry == "subsolve":
+        rep = subsolve(op, m.factor, b, opts).reduced
+    else:
+        rep = {"solve": solve, "solve_skew": solve_skew,
+               "solve_cs": solve_cs}[entry](op, b, opts)
+    assert rep.iterations > 1
+    lengths = {name: len(v) for name, v in vars(rep.trace).items()}
+    assert set(lengths) == TRACE_FIELDS
+    expected = dict.fromkeys(TRACE_FIELDS, rep.iterations)
+    expected["rhats"] = rep.iterations if preconditioned else 0
+    expected["x_mdag_sq"] = rep.iterations if entry == "psolve_h" else 0
+    assert lengths == expected
+    last = rep.r_breve if preconditioned else rep.r
+    assert rep.trace.residuals[-1].dtype == last.dtype
+    assert rep.trace.residuals[-1].tobytes() == last.tobytes()

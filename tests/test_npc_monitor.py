@@ -324,6 +324,18 @@ class TestVerifyIdentities:
         assert [(v.name, v.iteration)
                 for v in check_monotonicity(broken)] == [(name, 6)]
 
+    def test_violations_are_listed_in_iteration_order(self):
+        # a lambda_min violation at t = 3 comes before an m(x) one at t = 5
+        a, u_plus, u_minus = make_npc_matrix(seed=10)
+        suite = make_npc_suite(a, u_plus, u_minus, seed=11)
+        op, rep, cert, monot = run_monitored(a, suite["M4"],
+                                             np.ones(20, dtype=complex))
+        broken = copy.deepcopy(monot)
+        broken.lambda_mins[2] = -1.0
+        broken.m_values[4] = broken.m_values[3] + 1.0
+        assert [(v.name, v.iteration) for v in check_monotonicity(broken)] \
+            == [("lambda_min_positive_pre_npc", 3), ("m_decreasing", 5)]
+
 
 class TestIdentityRoundoffFloor:
     def test_npc_cli_run_passes(self, tmp_path):
