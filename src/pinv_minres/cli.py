@@ -57,8 +57,6 @@ def _fmt(value) -> str:
         if math.isinf(value):
             return "inf"
         return repr(float(value))
-    if isinstance(value, bool):
-        return "1" if value else "0"
     return str(value)
 
 
@@ -132,13 +130,11 @@ def cmd_precon_sweep(args):
                                     ("range_preserved", "range_preserved")):
             family = make_rank_family(a, kind, args.seed + 1, source)
             sweep = run_error_sweep(a, b, family, kind)
-            weight_scale = max(float(m.sigma.max()) for m in family)
+            mr_scale = max(float(m.sigma.max()) for m in family) * b_norm
+            amr_scale = a_norm * mr_scale
             for row in sweep:
                 rows.append((family_name, kind, row.rank, row.e_x, row.e_x_hat,
                              row.e_r, row.e_p, row.norm_m_r, row.norm_am_r))
-            mr_scale = weight_scale * b_norm
-            amr_scale = a_norm * mr_scale
-            for row in sweep:
                 tag = f"{kind}/{family_name}/i={row.rank}"
                 if row.b_holds and row.norm_m_r > 1e-8 * mr_scale:
                     failures.append(f"{tag}: ||M r|| = {row.norm_m_r:.3e}")
@@ -169,9 +165,10 @@ def cmd_precon_sweep(args):
 
 def cmd_npc(args):
     _validate_dims(args, 128)
-    if not 0 < args.r_plus < args.rank:
-        raise ValueError("--r-plus must be in 1..rank-1")
-    a, u_plus, u_minus = make_npc_matrix(args.d, args.rank, args.r_plus,
+    if args.rank < 2:
+        raise ValueError("--rank must be in 2..d (rank - 1 positive "
+                         "eigenvalues and one -1)")
+    a, u_plus, u_minus = make_npc_matrix(args.d, args.rank, args.rank - 1,
                                          args.seed)
     suite = make_npc_suite(a, u_plus, u_minus, args.seed + 1)
     op = DenseOperator(a, HERMITIAN)
@@ -206,7 +203,7 @@ def cmd_npc(args):
             failures.append(f"{name}: identity {v.name} at t={v.iteration}"
                             f" (magnitude {v.magnitude:.3e})")
     config = {"cmd": "npc", "d": args.d, "rank": args.rank,
-              "r_plus": args.r_plus, "seed": args.seed}
+              "r_plus": args.rank - 1, "seed": args.seed}
     return config, columns, rows, failures
 
 
@@ -274,11 +271,9 @@ def cmd_equiv(args):
 def cmd_deblur(args):
     if args.full_scale:
         args.n, args.bandwidth, args.sigma_blur = 1024, 101, 9.0
-    # SSIM's window needs at least SSIM_WINDOW pixels a side
-    if not args.image and args.n < SSIM_WINDOW:
-        raise ValueError(f"--n must be at least {SSIM_WINDOW}")
     original = read_image(args.image) if args.image else phantom(args.n)
     n = original.size
+    # SSIM's window needs at least SSIM_WINDOW pixels a side
     if n < SSIM_WINDOW:
         raise ValueError(f"the image size must be at least {SSIM_WINDOW}")
     if args.bandwidth >= 2 * n:
@@ -291,7 +286,6 @@ def cmd_deblur(args):
     recon = {name: [] for name in DEBLUR_SOLVERS}
     for k in range(original.channels):
         for name, x in deblur_channel(problem, k, args.iters).items():
-            x = x if isinstance(x, np.ndarray) else x.x
             recon[name].append(np.clip(x.real.reshape(n, n), 0.0, 1.0))
     planes = {"original": original, "blurred": problem["blurred"],
               "noisy": problem["noisy"]}
@@ -367,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("npc", help="curvature monitor over the M1..M4 suite")
     _add_common(p)
-    p.add_argument("--r-plus", type=int, default=14)
     p.set_defaults(fn=cmd_npc)
 
     p = sub.add_parser("equiv", help="preconditioned vs reduced solve traces")

@@ -257,12 +257,13 @@ def add_noise(plane: ImagePlane, sigma: float, seed: int) -> ImagePlane:
 def phantom(n: int) -> ImagePlane:
     """Deterministic synthetic test image: smooth gradient, a bright disk,
     a dark square and a striped band (enough edges to make blur visible)."""
-    yy, xx = np.mgrid[0:n, 0:n] / max(n - 1, 1)
+    coords = np.arange(n) / max(n - 1, 1)      # empty when n <= 0
+    yy, xx = np.meshgrid(coords, coords, indexing="ij", copy=False)
     img = 0.25 + 0.45 * xx * yy
     img[(xx - 0.35) ** 2 + (yy - 0.4) ** 2 < 0.04] = 0.95
     img[(np.abs(xx - 0.72) < 0.12) & (np.abs(yy - 0.62) < 0.12)] = 0.05
     # the striped band: the rows with yy > 0.8
-    band = yy[:, 0] > 0.8
+    band = coords > 0.8
     img[band] = 0.5 + 0.45 * np.sin(2.0 * np.pi * 8.0 * (xx[band] + yy[band]))
     return ImagePlane(np.clip(img, 0.0, 1.0))
 
@@ -296,21 +297,21 @@ def deblur_problem(original: ImagePlane, bandwidth: int, sigma_blur: float,
 
 def deblur_channel(problem: dict, k: int, iters: int) -> dict:
     """Run every solver of ``DEBLUR_SOLVERS`` for ``iters`` iterations on
-    channel k of ``problem["noisy"]``: reports for minres, lsqr, tsvd (at
-    rank_side^2 pairs), s1 and s2, and lifted vectors for the ``_lifted``
-    names.  Solvers are called through their modules, so a patch on a
-    module name sees every call."""
+    channel k of ``problem["noisy"]`` and return each one's solution
+    vector by name: minres, lsqr, tsvd (at rank_side^2 pairs), s1 and s2,
+    and the lifted vectors for the ``_lifted`` names.  Solvers are called
+    through their modules, so a patch on a module name sees every call."""
     z, op, subs = problem["z"], problem["op"], problem["subs"]
     bmat = problem["noisy"].channel(k)
     bvec = bmat.reshape(-1)
     opts = minres_h.SolveOptions(max_iterations=iters)
     rep = minres_h.solve(op, bvec, opts)
-    got = {"minres": rep, "minres_lifted": minres_h.lift(rep.x, rep.r),
-           "lsqr": baselines.lsqr(op, bvec, iters),
+    got = {"minres": rep.x, "minres_lifted": minres_h.lift(rep.x, rep.r),
+           "lsqr": baselines.lsqr(op, bvec, iters).x,
            "tsvd": baselines.tsvd_solve_kronecker(
-               z, bmat, rank_pairs=subs["s1"].rc ** 2)}
+               z, bmat, rank_pairs=subs["s1"].rc ** 2).x}
     for name, s_op in subs.items():
         sub = pminres.subsolve(op, s_op, bvec, opts)
-        got[name] = sub
+        got[name] = sub.x
         got[f"{name}_lifted"] = pminres.sublift(sub, s_op)
     return got

@@ -73,9 +73,8 @@ class Trace:
     betas: list = field(default_factory=list)          # beta_{t+1}
     gammas_pre: list = field(default_factory=list)     # gamma_t before rotation
     cs: list = field(default_factory=list)
-    taus: list = field(default_factory=list)
     basis: list = field(default_factory=list)          # v_t (Lanczos/Saunders)
-    directions: list = field(default_factory=list)     # d_t
+    steps: list = field(default_factory=list)          # tau_t d_t, added to x_{t-1}
     rhats: list = field(default_factory=list)          # r_hat_t, preconditioned
     x_mdag_sq: list = field(default_factory=list)      # ||x_t||^2_{M^+}, psolve_h
 
@@ -337,8 +336,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
             trace.betas.append(float(beta_next))
             trace.gammas_pre.append(complex(gamma_pre))
             trace.cs.append(complex(c))
-            trace.taus.append(complex(tau))
-            trace.directions.append(dvec.copy())
+            trace.steps.append(tau * dvec)
 
         termination = TERM_MAX_ITER
         tnorm = 0.0

@@ -202,7 +202,7 @@ def verify_identities(monot: MonotonicityTrace, report: SolveReport,
     # <tau_t d_t, r_{t-j}> > 0 for 0 <= j <= t, with r_0 = b: column k of
     # (tau D)^H [b, b - A X] is r_k, read at [t-1, j] through k = t - j
     res = np.vstack([b, b - ax])                         # r_0..r_p
-    td = np.array(trace.taus[:p])[:, None] * np.array(trace.directions[:p])
+    td = np.array(trace.steps[:p])                       # tau_t d_t
     k = t[:, None] - np.arange(p + 1)                    # wraps where j > t
     val = (td.conj() @ res.T)[t[:, None] - 1, k]
     scale = _norms(td)[:, None] * _norms(res)[k] + 1e-30

@@ -81,7 +81,8 @@ def make_npc_matrix(d: int = 20, rank: int = 15, r_plus: int = 14,
                     seed: int = 0):
     """Real symmetric test matrix for the curvature-monitor experiment:
     r_plus positive eigenvalues log-spaced in [1, 100], one eigenvalue -1,
-    the rest zero.  Returns (A, U_plus, u_minus)."""
+    the rest zero, so rank(A) = r_plus + 1 whatever ``rank`` is; ``rank``
+    is only validated.  Returns (A, U_plus, u_minus)."""
     if not (0 < r_plus < rank <= d):
         raise ValueError("need 0 < r_plus < rank <= d")
     rng = rng_for(seed)

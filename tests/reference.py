@@ -1,10 +1,10 @@
 """Dense references that only the tests compare against: the Moore-Penrose
 conditions, the Krylov grade (plain and preconditioned) and the truncated
-SVD of an explicit matrix; the matrix and pseudo-inverse of a
-preconditioner held as economy pieces; and the plain-expression forms of
-the deblur experiment's quality metrics and set-up (PSNR, SSIM, the
-Gaussian blur factor, the phantom and the noise), which the library's
-allocation-lean forms must match bitwise."""
+SVD of an explicit matrix; the basis form of a recorded solve; the matrix
+and pseudo-inverse of a preconditioner held as economy pieces; and the
+plain-expression forms of the deblur experiment's quality metrics and
+set-up (PSNR, SSIM, the Gaussian blur factor, the phantom and the noise),
+which the library's allocation-lean forms must match bitwise."""
 
 from __future__ import annotations
 
@@ -101,6 +101,27 @@ def krylov_grade(a, b, m=None) -> int:
     keep = mu > RANK_RTOL * max(mu.max(), 0.0)
     s = q[:, keep] * np.sqrt(mu[keep])
     return _krylov_dimension(s.conj().T @ a @ s, s.conj().T @ b)
+
+
+def basis_form(report) -> np.ndarray:
+    """V_t y for a recorded plain Hermitian solve of t steps: y is the
+    minimum-length solution of min ||beta_1 e_1 - T_t y|| over the
+    (t+1) x t tridiagonal T_t of the recorded alphas and betas, by SVD with
+    the singular values below 1e-8 sigma_max dropped, and V_t holds the
+    recorded Lanczos vectors."""
+    tr = report.trace
+    t = len(tr.alphas)
+    k = np.arange(t)
+    tt = np.zeros((t + 1, t))
+    tt[k, k] = np.real(tr.alphas)
+    tt[k + 1, k] = tr.betas                 # beta_2..beta_{t+1}
+    tt[k[:-1], k[1:]] = tr.betas[:-1]
+    rhs = np.zeros(t + 1)
+    rhs[0] = report.beta1
+    u, s, vh = np.linalg.svd(tt, full_matrices=False)
+    keep = s > 1e-8 * s[0]
+    y = vh[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
+    return np.array(tr.basis).T @ y
 
 
 def tsvd_solve(a, b, rank: int) -> BaselineReport:

@@ -98,11 +98,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (("synthetic", "--d", "0"), "--d must be in 1..512"),
         (("synthetic", "--d", "5", "--rank", "6"), "--rank must be in 1..d"),
-        (("npc", "--r-plus", "0"), "--r-plus must be in 1..rank-1"),
+        (("npc", "--rank", "1"), "--rank must be in 2..d"),
         (("equiv", "--rank-m", "0"), "--rank-m must be in 1..d"),
         (("deblur", "--image", "{tiny}"), "the image size must be at least"),
+        (("deblur", "--n", "0"), "the image size must be at least"),
+        (("deblur", "--n", "-3"), "the image size must be at least"),
         (("deblur", "--n", "16", "--bandwidth", "33"), "bandwidth too large"),
-    ], ids=["d", "rank", "r_plus", "rank_m", "image_size", "bandwidth"])
+    ], ids=["d", "rank", "npc_rank", "rank_m", "image_size", "phantom_empty",
+            "phantom_negative", "bandwidth"])
     def test_out_of_range_dimension_exits_one(self, tmp_path, capsys, argv,
                                               message):
         tiny = tmp_path / "tiny.pgm"
@@ -127,7 +130,7 @@ class TestOutputContract:
                           "--kind", "hermitian"),
                          "family,kind,i,E_x,E_x_hat,E_r,E_P,norm_Mr,norm_AMr",
                          {"family", "kind"}, False),
-        "npc": (("npc", "--d", "8", "--rank", "6", "--r-plus", "3"),
+        "npc": (("npc", "--d", "8", "--rank", "4"),
                 "preconditioner,t,lambda_min_T,m_x,x_b,x_mdag_norm,phi,"
                 "detected_at", {"preconditioner"}, False),
         # rank(M) > rank(A): the traces part within the last steps before
@@ -277,6 +280,24 @@ class TestNpc:
                 if line.startswith("FAIL")] == [
             f"FAIL {name}: {label} spoiled at t=3 (magnitude 1.000e+00)"
             for name in ("M1", "M2", "M3", "M4")]
+
+    def test_rank_is_the_rank_of_a(self, tmp_path, monkeypatch):
+        from pinv_minres import cli
+        built = []
+        real_make = cli.make_npc_matrix
+
+        def capture(*args):
+            out = real_make(*args)
+            built.append(out[0])
+            return out
+
+        monkeypatch.setattr(cli, "make_npc_matrix", capture)
+        csv = tmp_path / "npc.csv"
+        assert run_cli("npc", "--d", "12", "--rank", "7",
+                       "--csv", str(csv)) == EXIT_OK
+        config = json.loads(csv.read_text().splitlines()[1][len("# config: "):])
+        assert len(built) == 1
+        assert np.linalg.matrix_rank(built[0]) == config["rank"] == 7
 
 
 class TestEquiv:

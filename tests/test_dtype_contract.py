@@ -15,7 +15,7 @@ from pinv_minres.pminres import (DenseSubOperator, KroneckerSubOperator,
 
 N = 8
 STEPS = 5
-TRACE_VECTORS = ("iterates", "residuals", "basis", "directions")
+TRACE_VECTORS = ("iterates", "residuals", "basis", "steps")
 
 
 def _problem(seed=3):

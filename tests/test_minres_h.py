@@ -14,9 +14,7 @@ from pinv_minres.pminres import (Preconditioner, plift, psolve_cs, psolve_h,
                                  sublift, subsolve)
 from pinv_minres.synthetic import (rand_hermitian, rand_matrix,
                                    rand_skew_hermitian, rand_unitary, rng_for)
-from reference import verify_moore_penrose
-
-EPS = np.finfo(np.float64).eps
+from reference import basis_form, verify_moore_penrose
 
 
 class TestSolve:
@@ -276,22 +274,15 @@ class TestDirectionBuffers:
 
     @pytest.mark.parametrize("reorth", [False, True], ids=["plain", "reorth"])
     def test_directions_match_iterate_steps(self, reorth):
+        # x_t = x_{t-1} + tau_t d_t from x_0 = 0, the engine's own sums, so
+        # the running sum of the recorded steps is every iterate exactly
         opts = SolveOptions(reorthogonalize=reorth, record_trace=True)
         for seed in (501, 502):
             for name, run in _buffer_solves(seed).items():
                 tr = run(opts).trace
-                assert len(tr.directions) > 3, name
-                prev = np.zeros_like(tr.iterates[0])
-                for k, (x, tau, dvec) in enumerate(
-                        zip(tr.iterates, tr.taus, tr.directions)):
-                    if tau != 0:   # tau = 0 marks the frozen gamma_zero step
-                        # x_k - x_{k-1} cancels to about eps ||x_k||, which
-                        # a small late tau magnifies
-                        step = (x - prev) / tau
-                        tol = (1e-10 * np.linalg.norm(dvec) + 100 * EPS
-                               * np.linalg.norm(x) / abs(tau))
-                        assert np.linalg.norm(dvec - step) <= tol, (name, k)
-                    prev = x
+                assert len(tr.steps) > 3, name
+                assert np.array_equal(np.add.accumulate(tr.steps),
+                                      tr.iterates), name
 
 
 def _dense_batch_system(seed, k):
@@ -473,8 +464,7 @@ def test_rhs_in_null_space_stops_at_step_one(entry, scale):
 
 
 TRACE_FIELDS = {"iterates", "residuals", "phis", "alphas", "betas",
-                "gammas_pre", "cs", "taus", "basis", "directions", "rhats",
-                "x_mdag_sq"}
+                "gammas_pre", "cs", "basis", "steps", "rhats", "x_mdag_sq"}
 
 
 @pytest.mark.parametrize("entry", ["solve", "solve_skew", "solve_cs",
@@ -510,3 +500,28 @@ def test_trace_has_one_list_per_engine_quantity(entry):
     last = rep.r_breve if preconditioned else rep.r
     assert rep.trace.residuals[-1].dtype == last.dtype
     assert rep.trace.residuals[-1].tobytes() == last.tobytes()
+
+
+def test_basis_form_recovers_pinv_where_the_lift_misses():
+    """The d = 60 gap of the lift.  On rank-40 Hermitian A (seeds 0-19,
+    b = ones, reorthogonalised), the 4 solves that stop ``gamma_zero`` lift
+    to A^+ b within 3.1e-9 and their basis form V_t y within 5e-15.  The 16
+    that stop ``normal_residual`` lift only to 8.1e-9..2.9e-6, 2.7e-7 on
+    seed 0, which fails ``synthetic --d 60 --rank 40 --reorth --assert``,
+    while the basis form of the same recorded steps lands within 5.4e-8.
+    The last assertion fails once the lift closes the gap."""
+    misses = {TERM_GAMMA_ZERO: [], TERM_NORMAL_RESIDUAL: []}
+    opts = SolveOptions(max_iterations=240, record_trace=True,
+                        reorthogonalize=True)
+    for seed in range(20):
+        a = rand_matrix(HERMITIAN, 60, 40, seed)
+        rep = solve(DenseOperator(a, HERMITIAN), np.ones(60), opts)
+        xd = pinv(a) @ np.ones(60)
+        misses[rep.termination].append(
+            (rel_err(lift(rep.x, rep.r), xd), rel_err(basis_form(rep), xd)))
+    assert misses[TERM_GAMMA_ZERO] and misses[TERM_NORMAL_RESIDUAL]
+    for lifted, basis in misses[TERM_GAMMA_ZERO]:
+        assert lifted <= 1e-8 and basis <= 1e-13
+    for _, basis in misses[TERM_NORMAL_RESIDUAL]:
+        assert basis <= 2e-7
+    assert max(lifted for lifted, _ in misses[TERM_NORMAL_RESIDUAL]) > 1e-6

@@ -341,7 +341,7 @@ class TestIdentityRoundoffFloor:
     def test_npc_cli_run_passes(self, tmp_path):
         # M4's last r_hat is roundoff, so its identities come out near
         # 1e-30: roundoff at the problem's scale, not a violation
-        argv = ["npc", "--d", "128", "--rank", "64", "--r-plus", "48",
+        argv = ["npc", "--d", "128", "--rank", "49",
                 "--seed", "2", "--assert", "--csv", str(tmp_path / "n.csv")]
         assert main(argv) == EXIT_OK
 
@@ -381,7 +381,7 @@ class TestIdentityNames:
         if name == "curvature_identity":
             trace.gammas_pre[t - 1] *= 2.0
         elif name == "tau_d_r":
-            trace.directions[t - 1] = -trace.directions[t - 1]
+            trace.steps[t - 1] = -trace.steps[t - 1]
         elif name == "x_b_minus_x_A_x":
             trace.iterates[t - 1] = -trace.iterates[t - 1]
         else:
@@ -413,11 +413,11 @@ class TestIdentityNames:
         assert keys == sorted(keys)
 
     def test_complex_rotation_reports_positive_magnitudes(self, m4_run):
-        # a phase on d_5 trips the realness test of <tau_5 d_5, r_{5-j}>;
+        # a phase on tau_5 d_5 trips the realness test of <tau_5 d_5, r_{5-j}>;
         # each violation reports the size of the test that fired
         op, m, b, rep, monot = m4_run
         broken = copy.deepcopy(rep)
-        broken.trace.directions[4] = np.exp(0.3j) * broken.trace.directions[4]
+        broken.trace.steps[4] = np.exp(0.3j) * broken.trace.steps[4]
         violations = verify_identities(monot, broken, op, m, b)
         assert {v.name.split("[")[0] for v in violations} == {"tau_d_r"}
         assert {v.iteration for v in violations} == {5}

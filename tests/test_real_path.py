@@ -86,7 +86,7 @@ def test_real_path_matches_complex_path(reference, zeros, seed):
     got, ref = solve(real_op, bc, opts), solve(ref_op, bc, opts)
     assert got.x.dtype == np.float64 and got.r.dtype == np.float64
     assert got.iterations == ref.iterations == STEPS
-    for name in ("iterates", "residuals", "basis", "directions"):
+    for name in ("iterates", "residuals", "basis", "steps"):
         for u, v in zip(getattr(got.trace, name), getattr(ref.trace, name)):
             assert u.dtype == np.float64
             assert rel_err(u, v) <= 1e-12, name
