@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -54,8 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     if isinstance(value, float):  # numpy float64 included
-        if math.isinf(value):
-            return "inf"
         return repr(float(value))
     return str(value)
 

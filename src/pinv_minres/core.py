@@ -272,9 +272,6 @@ class GaussianBlurToeplitz:
             raise ValueError("bandwidth must be a positive odd integer")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        self.n = n
-        self.bandwidth = bandwidth
-        self.sigma = float(sigma)
         half = (bandwidth - 1) // 2
         offs = np.arange(n)
         diff = offs[:, None] - offs[None, :]

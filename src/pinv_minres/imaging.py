@@ -67,8 +67,8 @@ class ImageFormatError(ValueError):
 
 
 def _parse_header(data: bytes, path: str):
-    """Parse 'P5'/'P6' + width height maxval; returns (magic, w, h, maxval,
-    offset of first pixel byte).  Errors report the byte offset."""
+    """Parse 'P5'/'P6' + width height maxval; returns (magic, w, h, offset
+    of first pixel byte).  Errors report the byte offset."""
     pos = 0
 
     def skip_space_and_comments(pos):
@@ -115,7 +115,7 @@ def _parse_header(data: bytes, path: str):
         raise ImageFormatError(
             f"{path}: unsupported maxval {maxval} at byte {pos} "
             "(only 255 is supported)")
-    return magic, w, h, maxval, pos
+    return magic, w, h, pos
 
 
 def read_image(path) -> ImagePlane:
@@ -123,7 +123,7 @@ def read_image(path) -> ImagePlane:
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, w, h, _, pos = _parse_header(data, path)
+    magic, w, h, pos = _parse_header(data, path)
     if w != h:
         raise ImageFormatError(f"{path}: image must be square, got {w}x{h} "
                                f"(header ends at byte {pos})")
@@ -134,11 +134,7 @@ def read_image(path) -> ImagePlane:
         raise ImageFormatError(
             f"{path}: truncated pixel data, missing {need - len(raw)} bytes")
     arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        arr = arr.reshape(h, w)
-    else:
-        arr = arr.reshape(h, w, 3)
-    return ImagePlane(arr)
+    return ImagePlane(arr.reshape(h, w, channels))
 
 
 def write_image(plane: ImagePlane, path) -> None:

@@ -211,10 +211,11 @@ def _beta_from(z: np.ndarray, w: np.ndarray, complex_symmetric: bool,
     """beta^2 = <z, w> (Hermitian) or <conj(z), w> (complex-symmetric),
     clamping tiny negative roundoff and rejecting indefinite preconditioners.
 
-    ``scale_floor`` (the problem scale beta_1^2 inside the loop) keeps the
-    sign and realness checks from firing on noise-level pairs: near
-    termination w suffers total cancellation and its direction carries no
-    information, so only violations at the problem scale are meaningful.
+    ``scale_floor`` (inside the loop (max(||T_{t-1}||, |alpha_t| + beta_t))^2,
+    the scale of beta_{t+1}^2) keeps the sign and realness checks from
+    firing on noise-level pairs: near termination w suffers total
+    cancellation and its direction carries no information, so only
+    violations at the scale of T are meaningful.
 
     The pairing is accepted at once, before the two norms of the full
     scale are taken, when it is finite, its real part is >= 0 and its
@@ -305,7 +306,7 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
         # r_hat_0 = M b (Hermitian) or conj(M) b (complex-symmetric, where the
         # proxy is conj(S) S^T r throughout, hence the conjugated start)
         rhat = rbrev if m is None else (np.conj(w) if cs else w.copy())
-        beta = beta1
+        beta = 0.0                # T's entry above alpha_t; beta_1 is not in T
         c: complex = -1.0
         s = 0.0
         delta: complex = 0.0      # delta_t entering the next rotation
@@ -350,7 +351,8 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
             wq = None if m is None else m.apply(np.conj(q) if cs else q)
             if buffer is not None:
                 q, wq = buffer.apply(q, wq)
-            beta_next = norm(q) if m is None else _beta_from(q, wq, cs, beta1 * beta1)
+            beta_next = norm(q) if m is None else _beta_from(
+                q, wq, cs, max(tnorm, abs(alpha) + beta) ** 2)
 
             # previous rotation applied to the new tridiagonal column
             delta2 = (c.conjugate() if cs else c) * delta + s * alpha
@@ -368,13 +370,12 @@ def _minres(a: LinearOperator, b, opts: SolveOptions, m=None) -> SolveReport:
                 arnorm0 = arnorm_prev
             ls_converged = t > 1 and arnorm_prev <= NORMAL_RESIDUAL_TARGET * arnorm0
 
-            # zeta = EPS_ZERO ||T|| (beta_1 is not in T); T_1 = A v_1 is rounding
-            # noise when b is in null(A), so the step-1 pivot also weighs beta_1
-            tnorm = max(tnorm, abs(alpha) + beta + beta_next if t > 1
-                        else abs(alpha) + beta_next)
+            # zeta = EPS_ZERO ||T||; T_1 = A v_1 is rounding noise when b is in
+            # null(A), so the step-1 pivot also weighs beta_1
+            tnorm = max(tnorm, abs(alpha) + beta + beta_next)
             zeta = EPS_ZERO * tnorm
             if ((beta_next <= zeta and abs(gamma_pre) <= zeta) or (
-                    t == 1 and gamma2 <= EPS_ZERO * (abs(alpha) + beta + beta_next))):
+                    t == 1 and gamma2 <= EPS_ZERO * (abs(alpha) + beta1 + beta_next))):
                 # Krylov/Saunders space exhausted with nonzero residual: the
                 # iterate freezes one step back and the grade is t
                 termination = TERM_GAMMA_ZERO

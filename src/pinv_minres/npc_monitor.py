@@ -74,7 +74,7 @@ def attach(report: SolveReport, a: LinearOperator, m: Preconditioner,
     tg = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
     # the NPC test -c_{t-1} gamma_t <= 0 at every t, with c_0 = -1
     c_prev = np.concatenate(([-1.0], np.real(trace.cs[:steps - 1])))
-    beta_prev = np.concatenate(([report.beta1], betas[:-1]))
+    beta_prev = np.concatenate(([0.0], betas[:-1]))        # beta_1 is not in T
     npc = (-c_prev * np.real(trace.gammas_pre[:steps])
            <= NPC_TOL * (np.abs(alphas) + betas + beta_prev))
     detected_at = int(np.argmax(npc)) + 1 if npc.any() else None

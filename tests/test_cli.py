@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from pinv_minres import cli
 from pinv_minres.cli import CSV_SCHEMA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from pinv_minres.imaging import ImagePlane, read_image, write_image
 
@@ -49,7 +50,6 @@ class TestSynthetic:
     def test_plain_error_gate_fires(self, capsys, monkeypatch):
         # on a singular A the plain final iterate misses A^+ b; a solver
         # whose last iterate is already lifted must fail that check alone
-        from pinv_minres import cli
         from pinv_minres.minres_h import lift
         real_solve = cli.solve
 
@@ -170,6 +170,15 @@ class TestOutputContract:
             assert any(line.startswith("FAIL ") for line in out)
             assert "all asserted properties hold" not in out
 
+    @pytest.mark.parametrize("value, cell", [
+        (0.1, "0.1"), (np.float64(-2.5e-17), "-2.5e-17"), (7, "7"),
+        (np.inf, "inf"), (-np.inf, "-inf"), (np.float64(-np.inf), "-inf"),
+        (np.nan, "nan"), ("M1", "M1")])
+    def test_cells_are_written_as_parsed_back(self, value, cell):
+        assert cli._fmt(value) == cell
+        if cell != "M1":
+            assert np.array_equal(float(cell), value, equal_nan=True)
+
     def test_equiv_csv_rows_are_the_printed_deviations(self, tmp_path,
                                                       capsys):
         csv = tmp_path / "equiv.csv"
@@ -215,7 +224,6 @@ class TestPreconSweep:
         ("e_x_hat", 1.0, ": E_x_hat = 1.000e+00"),
     ], ids=["M_r", "E_P", "AM_r", "E_x_at_r", "E_x_small", "E_x_hat"])
     def test_each_gate_fires(self, capsys, monkeypatch, field, value, message):
-        from pinv_minres import cli
         sweep = cli.run_error_sweep
 
         def spoiled(*args):
@@ -254,7 +262,6 @@ class TestNpc:
 
     def test_early_npc_on_m4_fails(self, capsys, monkeypatch):
         # M4 has no negative curvature to find before termination
-        from pinv_minres import cli
         real_attach = cli.attach
 
         def early(*args):
@@ -271,7 +278,6 @@ class TestNpc:
         ("check_monotonicity", "monotonicity"),
         ("verify_identities", "identity")])
     def test_violation_gates_fire(self, capsys, monkeypatch, check, label):
-        from pinv_minres import cli
         from pinv_minres.npc_monitor import IdentityViolation
         monkeypatch.setattr(cli, check, lambda *args: [
             IdentityViolation(iteration=3, name="spoiled", magnitude=1.0)])
@@ -282,7 +288,6 @@ class TestNpc:
             for name in ("M1", "M2", "M3", "M4")]
 
     def test_rank_is_the_rank_of_a(self, tmp_path, monkeypatch):
-        from pinv_minres import cli
         built = []
         real_make = cli.make_npc_matrix
 
@@ -383,7 +388,6 @@ class TestDeblur:
     def test_declared_symmetry_gate(self, tmp_path, capsys, monkeypatch):
         # the gate probes the blur for the symmetry it declares: the real
         # blur passes it, and one off-diagonal entry doubled fails it
-        from pinv_minres import cli
         from pinv_minres.core import KroneckerOperator
         argv = ("deblur", "--n", "16", "--bandwidth", "3", "--rank-side",
                 "4", "--iters", "5", "--outdir", str(tmp_path), "--assert")
